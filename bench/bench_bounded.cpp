@@ -51,7 +51,9 @@ int main() {
     PardaOptions options;
     options.num_procs = np;
     options.bound = b;
-    const PardaResult par = parda_analyze(trace, options);
+    comm::WorkerPool pool(np);
+    SpanTraceSource source(trace);
+    const PardaResult par = parda_analyze(pool, source, options);
     if (!(par.hist == seq)) {
       std::fprintf(stderr, "MISMATCH at B=%llu\n",
                    static_cast<unsigned long long>(b));

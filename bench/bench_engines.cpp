@@ -1,8 +1,12 @@
 // End-to-end engine comparison on an MRC-histogram workload: every
 // sequential ReuseAnalyzer head-to-head (LruChain vs Olken-splay/AVL/treap
-// vs Bennett-Kruskal's Fenwick engine vs the interval engine) plus the
-// parallel Parda driver at np=1..4, each measured through both the batched
-// process_block path and the per-reference loop.
+// vs Bennett-Kruskal's Fenwick engine vs the interval engine), each
+// measured through both the batched process_block path and the
+// per-reference loop, plus the parallel Parda driver at np=1..4. The
+// driver has one dispatch path (each rank's chunk goes through
+// RankState::process_own_block), so its rows are block=1 only;
+// core_test's RankStateTest.ProcessOwnBlockEqualsPerReferenceLoop pins
+// that path to the per-reference loop.
 //
 // Writes a parda.bench.v1 artifact (default BENCH_engines.json, override
 // with PARDA_BENCH_JSON); a point's identity is (name, np, block) — trace
@@ -12,8 +16,8 @@
 // diff tool treats every metric as a cost).
 //
 // Environment: PARDA_BENCH_ENGINE_REFS (default 1M references),
-// PARDA_BENCH_ENGINE_REPS (default 3; block/loop reps interleave and the
-// best rep of each path is reported),
+// PARDA_BENCH_ENGINE_REPS (default 3; sequential block/loop reps
+// interleave and the best rep of each path is reported),
 // PARDA_BENCH_SCALE (SPEC footprint divisor), PARDA_BENCH_JSON.
 //
 // The google-benchmark registrations below the suite remain for ad-hoc
@@ -107,24 +111,23 @@ void measure_seq(const char* name, const std::vector<Addr>& trace, int reps,
   points.push_back(make_point(name, 1, false, best(loop_secs), trace.size()));
 }
 
+/// The parallel driver on a transient pool per rep (spawn included, as a
+/// one-shot analysis pays it); the best rep is reported.
 void measure_parda(int np, const std::vector<Addr>& trace, int reps,
                    std::vector<bench::BenchPoint>& points) {
-  std::vector<double> block_secs, loop_secs;
+  PardaOptions options;
+  options.num_procs = np;
+  SpanTraceSource source(trace);
+  std::vector<double> secs;
   for (int i = 0; i < reps; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      const bool block = (i + j) % 2 == 0;
-      PardaOptions options;
-      options.num_procs = np;
-      options.block_dispatch = block;
-      WallTimer timer;
-      benchmark::DoNotOptimize(parda_analyze(trace, options).hist.total());
-      (block ? block_secs : loop_secs).push_back(timer.seconds());
-    }
+    WallTimer timer;
+    comm::WorkerPool pool(np);
+    benchmark::DoNotOptimize(
+        parda_analyze(pool, source, options).hist.total());
+    secs.push_back(timer.seconds());
   }
   points.push_back(make_point("parda_splay", static_cast<std::uint64_t>(np),
-                              true, best(block_secs), trace.size()));
-  points.push_back(make_point("parda_splay", static_cast<std::uint64_t>(np),
-                              false, best(loop_secs), trace.size()));
+                              true, best(secs), trace.size()));
 }
 
 void run_engines_suite() {
@@ -169,8 +172,10 @@ void BM_PardaEngine(benchmark::State& state) {
   const auto& trace = shared_trace();
   PardaOptions options;
   options.num_procs = static_cast<int>(state.range(0));
+  SpanTraceSource source(trace);
   for (auto _ : state) {
-    const PardaResult r = parda_analyze<Tree>(trace, options);
+    comm::WorkerPool pool(options.num_procs);
+    const PardaResult r = parda_analyze<Tree>(pool, source, options);
     benchmark::DoNotOptimize(r.hist.total());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -25,8 +25,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "comm/worker_pool.hpp"
-#include "core/file_analysis.hpp"
+#include "core/runtime.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_compress.hpp"
 #include "trace/trace_io.hpp"
@@ -55,17 +54,17 @@ IngestFixture make_fixture() {
   return fx;
 }
 
-double measure(comm::WorkerPool& pool, const IngestFixture& fx,
+double measure(core::PardaRuntime& runtime, const IngestFixture& fx,
                IngestMode mode, int np, int reps) {
   const std::string& path =
       mode == IngestMode::kTrz ? fx.trz_path : fx.trc_path;
   PardaOptions options;
   options.num_procs = np;
+  auto session = runtime.session(options);
   double best = 1e30;
   for (int i = 0; i < reps; ++i) {
     WallTimer timer;
-    const PardaResult r =
-        parda_analyze_file_on(pool, path, options, 1 << 20, mode);
+    const PardaResult r = session.analyze_file(path, 1 << 20, mode);
     const double secs = timer.seconds();
     if (r.hist.total() != fx.refs) {
       std::fprintf(stderr, "bench_ingest: %s returned %" PRIu64
@@ -88,10 +87,10 @@ void run_ingest_suite() {
   std::printf("ingest (refs=%zu, reps=%d)\n%-6s %3s %12s %10s\n", fx.refs,
               reps, "ingest", "np", "ns_per_ref", "Mrefs/s");
   for (const int np : {1, 2, 4, 8}) {
-    comm::WorkerPool pool(np);  // warm pool shared by the modes at this np
+    core::PardaRuntime runtime(np);  // warm pool shared by the modes
     for (const IngestMode mode :
          {IngestMode::kPipe, IngestMode::kMmap, IngestMode::kTrz}) {
-      const double secs = measure(pool, fx, mode, np, reps);
+      const double secs = measure(runtime, fx, mode, np, reps);
       bench::BenchPoint p;
       p.name = "analyze_file";
       p.params = {{"np", static_cast<std::uint64_t>(np)}};

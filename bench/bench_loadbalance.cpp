@@ -29,7 +29,9 @@ PardaResult run_streamed(const std::vector<Addr>& trace,
     }
     pipe.close();
   });
-  PardaResult result = parda_analyze_stream(pipe, options);
+  comm::WorkerPool pool(options.num_procs);
+  PipeTraceSource source(pipe);
+  PardaResult result = parda_analyze(pool, source, options);
   producer.join();
   return result;
 }
@@ -85,9 +87,11 @@ int main() {
 
   PardaOptions offline;
   offline.num_procs = np;
+  comm::WorkerPool pool(np);
+  SpanTraceSource source(trace);
   print_profiles("offline single-stage (Algorithm 3): rank 0 resolves "
                  "everything, left ranks do extra merge work",
-                 parda_analyze(trace, offline));
+                 parda_analyze(pool, source, offline));
 
   for (const std::size_t chunk : {65536UL, 8192UL}) {
     PardaOptions streamed;

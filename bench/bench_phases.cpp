@@ -30,7 +30,9 @@ PardaResult run_streamed(const std::vector<Addr>& trace,
     }
     pipe.close();
   });
-  PardaResult result = parda_analyze_stream(pipe, options);
+  comm::WorkerPool pool(options.num_procs);
+  PipeTraceSource source(pipe);
+  PardaResult result = parda_analyze(pool, source, options);
   producer.join();
   return result;
 }
@@ -54,7 +56,9 @@ int main() {
   PardaOptions offline;
   offline.num_procs = np;
   WallTimer t0;
-  const PardaResult reference = parda_analyze(trace, offline);
+  comm::WorkerPool pool(np);
+  SpanTraceSource source(trace);
+  const PardaResult reference = parda_analyze(pool, source, offline);
   const double offline_time = t0.seconds();
 
   std::printf(

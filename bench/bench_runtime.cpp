@@ -57,8 +57,11 @@ void BM_ColdAnalyze(benchmark::State& state) {
   const auto trace = generate_trace(w, 20000);
   PardaOptions options;
   options.num_procs = np;
+  SpanTraceSource source(trace);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(parda_analyze(trace, options).hist.total());
+    comm::WorkerPool pool(np);
+    benchmark::DoNotOptimize(
+        parda_analyze(pool, source, options).hist.total());
   }
 }
 
@@ -113,11 +116,14 @@ RuntimePoint summarize(std::string mode, int np, std::uint64_t refs,
 RuntimePoint measure_cold(int np, const std::vector<Addr>& trace, int reps) {
   PardaOptions options;
   options.num_procs = np;
+  SpanTraceSource source(trace);
   std::vector<double> rep_seconds;
   rep_seconds.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
     WallTimer timer;
-    benchmark::DoNotOptimize(parda_analyze(trace, options).hist.total());
+    comm::WorkerPool pool(np);
+    benchmark::DoNotOptimize(
+        parda_analyze(pool, source, options).hist.total());
     rep_seconds.push_back(timer.seconds());
   }
   return summarize("cold_spawn", np, trace.size(), std::move(rep_seconds));

@@ -3,6 +3,7 @@
 // Parda is designed to avoid, and the composition of both (Section VII).
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -14,6 +15,30 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload/spec.hpp"
+
+namespace {
+
+using parda::Addr;
+
+/// Sampling composed with the parallel algorithm (Section VII: "our
+/// algorithm can be combined with approximate analysis techniques").
+/// rate in (0, 1]; rate == 1 degenerates to the exact analysis.
+parda::Histogram sampled_parda_analysis(std::span<const Addr> trace,
+                                        double rate,
+                                        const parda::PardaOptions& options,
+                                        std::uint64_t seed) {
+  parda::comm::WorkerPool pool(options.num_procs);
+  if (rate >= 1.0) {
+    parda::SpanTraceSource source(trace);
+    return parda::parda_analyze(pool, source, options).hist;
+  }
+  const std::vector<Addr> sampled = parda::sample_trace(trace, rate, seed);
+  parda::SpanTraceSource source(sampled);
+  return parda::rescale_sampled_histogram(
+      parda::parda_analyze(pool, source, options).hist, rate);
+}
+
+}  // namespace
 
 int main() {
   using namespace parda;

@@ -93,7 +93,9 @@ int main() {
       options.num_procs = np;
       options.space_optimized = opt;
       WallTimer t;
-      const PardaResult result = parda_analyze(trace, options);
+      comm::WorkerPool pool(np);
+      SpanTraceSource source(trace);
+      const PardaResult result = parda_analyze(pool, source, options);
       const double elapsed = t.seconds();
       if (!(result.hist == reference)) {
         std::fprintf(stderr, "MISMATCH np=%d opt=%d\n", np, opt);

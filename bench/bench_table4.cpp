@@ -155,7 +155,9 @@ Row run_benchmark(const SpecProfile& profile, std::uint64_t scale,
     options.chunk_words = std::max<std::size_t>(
         1024, pipe_words / static_cast<std::size_t>(np));
     WallTimer t;
-    const PardaResult result = parda_analyze_stream(pipe, options);
+    comm::WorkerPool pool(options.num_procs);
+    PipeTraceSource source(pipe);
+    const PardaResult result = parda_analyze(pool, source, options);
     row.parda_wall = t.seconds();
     producer.join();
     // Critical path = trace production (sequential, unavoidable per the

@@ -36,10 +36,12 @@ int main(int argc, char** argv) {
   std::vector<Histogram> histograms;
   PardaOptions options;
   options.num_procs = 2;
+  comm::WorkerPool pool(options.num_procs);  // reused by every analysis
   for (const std::string& name : names) {
     auto w = make_spec_workload(name, scale, /*seed=*/3);
     const auto trace = generate_trace(*w, refs);
-    histograms.push_back(parda_analyze(trace, options).hist);
+    SpanTraceSource source(trace);
+    histograms.push_back(parda_analyze(pool, source, options).hist);
   }
 
   const PartitionResult even = partition_even(histograms, units);

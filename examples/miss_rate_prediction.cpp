@@ -38,7 +38,9 @@ int main(int argc, char** argv) {
 
   PardaOptions options;
   options.num_procs = static_cast<int>(procs);
-  const Histogram hist = parda_analyze(trace, options).hist;
+  comm::WorkerPool pool(options.num_procs);
+  SpanTraceSource source(trace);
+  const Histogram hist = parda_analyze(pool, source, options).hist;
 
   std::vector<std::uint64_t> sizes;
   for (std::uint64_t c = 16; c <= hist.max_distance() * 2 + 16; c *= 4) {

@@ -97,9 +97,11 @@ int main(int argc, char** argv) {
     options.run_options.watchdog_interval =
         std::chrono::milliseconds(watchdog_ms);
   }
+  comm::WorkerPool pool(options.num_procs);
+  PipeTraceSource source(pipe);
   PardaResult result;
   try {
-    result = parda_analyze_stream(pipe, options);
+    result = parda_analyze(pool, source, options);
   } catch (const std::exception& e) {
     pipe.close_with_error(std::current_exception());
     producer.join();

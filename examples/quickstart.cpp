@@ -38,7 +38,9 @@ int main(int argc, char** argv) {
   PardaOptions options;
   options.num_procs = static_cast<int>(procs);
   options.bound = bound;
-  const PardaResult result = parda_analyze(trace, options);
+  comm::WorkerPool pool(options.num_procs);
+  SpanTraceSource source(trace);
+  const PardaResult result = parda_analyze(pool, source, options);
   const Histogram& hist = result.hist;
 
   std::printf("references analyzed: %s\n",

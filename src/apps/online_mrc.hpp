@@ -69,9 +69,9 @@ class OnlineMrcMonitor {
 /// parallel bounded engine on a shared PardaRuntime — every window reuses
 /// the runtime's parked workers and cached World rather than spawning a
 /// full thread set per window. Windows are analyzed independently (each
-/// starts cold), so its histogram equals folding per-window parda_analyze
-/// results exactly; cross-window reuses surface as infinities, which the
-/// decayed aggregate treats as cold misses.
+/// starts cold), so its histogram equals folding per-window offline
+/// parda_analyze results exactly; cross-window reuses surface as
+/// infinities, which the decayed aggregate treats as cold misses.
 ///
 /// The runtime must outlive the monitor. Feeding is single-threaded, but
 /// several monitors may share one runtime: window jobs multiplex its pool.

@@ -82,26 +82,4 @@ PardaResult run_with_file_producer(
 
 }  // namespace detail
 
-PardaResult parda_analyze_file_on(comm::WorkerPool& pool,
-                                  const std::string& path,
-                                  const PardaOptions& options,
-                                  std::size_t pipe_words,
-                                  IngestMode ingest) {
-  if (ingest != IngestMode::kPipe) {
-    std::unique_ptr<TraceSource> source = open_offline_source(path, ingest);
-    return parda_analyze_source_on(pool, *source, options);
-  }
-  return detail::run_with_file_producer(
-      path, options, pipe_words, [&](TracePipe& pipe) {
-        return parda_analyze_stream_on(pool, pipe, options);
-      });
-}
-
-PardaResult parda_analyze_file(const std::string& path,
-                               const PardaOptions& options,
-                               std::size_t pipe_words, IngestMode ingest) {
-  comm::WorkerPool pool(options.num_procs);
-  return parda_analyze_file_on(pool, path, options, pipe_words, ingest);
-}
-
 }  // namespace parda

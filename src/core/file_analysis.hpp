@@ -1,4 +1,5 @@
-// Analysis of on-disk traces, by ingest mode (DESIGN.md "Ingest"):
+// The file producer behind pipe ingest of on-disk traces. The ingest
+// modes (DESIGN.md "Ingest"), chosen by core::AnalysisSession::analyze_file:
 //
 //   kPipe — the historical path: a producer thread streams the file
 //           through a bounded TracePipe into the multi-phase online
@@ -14,14 +15,13 @@
 #include <string>
 
 #include "core/parda.hpp"
-#include "trace/source.hpp"
 
 namespace parda {
 
 namespace detail {
 
-/// The producer scaffolding shared by the file entry points: spawns a
-/// producer thread that streams `path` into a bounded pipe (honoring the
+/// The producer scaffolding of kPipe file analysis: spawns a producer
+/// thread that streams `path` into a bounded pipe (honoring the
 /// FaultPlan's producer_fail_after injection), runs `consume(pipe)` on the
 /// calling thread, and tears both down with the root-cause rethrow policy
 /// (a producer error reaches the consumer by pipe poisoning, so the
@@ -32,23 +32,5 @@ PardaResult run_with_file_producer(
     const std::function<PardaResult(TracePipe&)>& consume);
 
 }  // namespace detail
-
-/// Analyzes a trace file on a caller-owned WorkerPool through the chosen
-/// ingest path. kPipe streams the file through a bounded pipe into the
-/// streaming algorithm (pipe_words is the paper's pipe-size knob; it is
-/// ignored by the offline modes). kMmap expects a binary .trc/.bin file;
-/// kTrz expects a chunked v2 .trz archive.
-PardaResult parda_analyze_file_on(comm::WorkerPool& pool,
-                                  const std::string& path,
-                                  const PardaOptions& options,
-                                  std::size_t pipe_words = 1 << 20,
-                                  IngestMode ingest = IngestMode::kPipe);
-
-/// One-shot file analysis on a transient runtime (the historical entry
-/// point); see parda_analyze_file_on.
-PardaResult parda_analyze_file(const std::string& path,
-                               const PardaOptions& options,
-                               std::size_t pipe_words = 1 << 20,
-                               IngestMode ingest = IngestMode::kPipe);
 
 }  // namespace parda

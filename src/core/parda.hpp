@@ -1,18 +1,19 @@
 // Parda: parallel reuse distance analysis (paper Algorithms 3-7).
 //
-// Two entry points:
-//  - parda_analyze:        offline analysis of an in-memory trace divided
-//                          into np contiguous chunks (Algorithm 3, with the
-//                          space-optimized merge of Algorithm 4 and the
-//                          cache bound of Algorithm 7).
-//  - parda_analyze_stream: online multi-phase analysis of a TracePipe fed
-//                          by a concurrent producer (Algorithms 5-6 with
-//                          the rank-reversal optimization), reproducing the
-//                          Figure 3 framework: producer -> pipe -> rank 0
-//                          -> scatter -> ranks -> merge -> reduce.
+// One entry point, parda_analyze(pool, source, options), runs one of two
+// rank bodies on a caller-owned WorkerPool, chosen by the TraceSource:
+//  - offline sources (in-memory span, mmap, chunked trz): each rank takes
+//    its own contiguous view of the trace (Algorithm 3, with the
+//    space-optimized merge of Algorithm 4 and the cache bound of
+//    Algorithm 7).
+//  - streaming sources (a TracePipe fed by a concurrent producer): online
+//    multi-phase analysis (Algorithms 5-6 with the rank-reversal
+//    optimization), reproducing the Figure 3 framework: producer -> pipe
+//    -> rank 0 -> scatter -> ranks -> merge -> reduce.
 //
-// Both run on the thread-backed comm runtime and return the histogram plus
-// per-rank work statistics (used for critical-path scaling reports).
+// Both return the histogram plus per-rank work statistics (used for
+// critical-path scaling reports). core::AnalysisSession wraps the driver
+// for callers that hold a long-lived runtime or analyze files.
 #pragma once
 
 #include <span>
@@ -44,14 +45,9 @@ struct PardaOptions {
   /// Streaming only: per-rank chunk size C; each phase consumes np*C
   /// references (Algorithm 5).
   std::size_t chunk_words = 1 << 16;
-  /// Feed each rank's chunk through the batched process_own_block path
-  /// (software-prefetched hash probes) instead of the per-reference loop.
-  /// Results are identical either way; the toggle exists so bench_engines
-  /// can measure the two paths head-to-head.
-  bool block_dispatch = true;
-  /// Fault-tolerance knobs forwarded to comm::run: per-op deadlines, the
-  /// stall watchdog, and deterministic fault injection. The default is the
-  /// historical wait-forever behavior.
+  /// Fault-tolerance knobs passed to WorkerPool::run_job: per-op
+  /// deadlines, the stall watchdog, and deterministic fault injection.
+  /// The default is the historical wait-forever behavior.
   comm::RunOptions run_options;
 };
 
@@ -146,28 +142,11 @@ inline std::vector<RankProfile> gather_profiles(comm::Comm& comm,
   return out;
 }
 
-/// The equal ceil-division split of Algorithm 3 over an in-memory trace:
-/// rank p owns global positions [p*ceil(N/np), ...).
-inline RankView equal_rank_view(std::span<const Addr> trace, int rank,
-                                int np) {
-  const std::size_t n = trace.size();
-  const std::size_t chunk = (n + static_cast<std::size_t>(np) - 1) /
-                            static_cast<std::size_t>(np);
-  const std::size_t begin =
-      std::min(static_cast<std::size_t>(rank) * chunk, n);
-  const std::size_t end = std::min(begin + chunk, n);
-  return RankView{trace.subspan(begin, end - begin),
-                  static_cast<Timestamp>(begin)};
-}
-
 /// The per-rank body of the offline algorithm (one call per rank inside a
 /// comm job), over the rank's own disjoint view of the trace. The views
 /// must tile the trace contiguously in rank order with cumulative bases
-/// (equal_rank_view for in-memory traces; a TraceSource's rank_view for
-/// zero-copy ingest, where boundaries may be chunk-aligned rather than
-/// equal). Shared by parda_analyze, parda_analyze_source_on, and the
-/// session layer so the chunk/merge/reduce scaffolding exists exactly
-/// once.
+/// (a TraceSource's rank_view: equal splits for span and mmap sources,
+/// chunk-aligned ones for trz).
 template <OrderStatTree Tree>
 void offline_rank_body(comm::Comm& comm, const RankView& view,
                        const PardaOptions& options, Histogram& result,
@@ -178,13 +157,7 @@ void offline_rank_body(comm::Comm& comm, const RankView& view,
   {
     obs::SpanScope span("analyze");
     state.begin_merge_stage();
-    if (options.block_dispatch) {
-      state.process_own_block(view.refs, view.base);
-    } else {
-      for (std::size_t i = 0; i < view.refs.size(); ++i) {
-        state.process_own(view.refs[i], view.base + i);
-      }
-    }
+    state.process_own_block(view.refs, view.base);
   }
   profile.chunk_refs = view.refs.size();
 
@@ -212,50 +185,9 @@ void offline_rank_body(comm::Comm& comm, const RankView& view,
   }
 }
 
-}  // namespace detail
-
-/// Offline Parda (Algorithm 3) on a caller-owned WorkerPool: splits the
-/// trace into np contiguous chunks (chunk p owns global positions
-/// [p*ceil(N/np), ...)), analyzes them in parallel, and resolves
-/// cross-chunk reuses through the local-infinity pipeline. The result
-/// equals the sequential analysis exactly (unbounded), or the bounded
-/// sequential analysis when options.bound is set.
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze_on(comm::WorkerPool& pool,
-                             std::span<const Addr> trace,
-                             const PardaOptions& options) {
-  const int np = options.num_procs;
-  PARDA_CHECK(np >= 1);
-  Histogram result;
-  std::vector<RankProfile> profiles;
-  comm::RunStats stats = pool.run_job(
-      np,
-      [&](comm::Comm& comm) {
-        detail::offline_rank_body<Tree>(
-            comm, detail::equal_rank_view(trace, comm.rank(), np), options,
-            result, profiles);
-      },
-      options.run_options);
-  return PardaResult{std::move(result), std::move(stats),
-                     std::move(profiles)};
-}
-
-/// One-shot offline analysis on a transient runtime (the historical entry
-/// point). Long-lived callers should hold a core::PardaRuntime (or a raw
-/// WorkerPool) and use parda_analyze_on to amortize thread spawning.
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze(std::span<const Addr> trace,
-                          const PardaOptions& options) {
-  comm::WorkerPool pool(options.num_procs);
-  return parda_analyze_on<Tree>(pool, trace, options);
-}
-
-namespace detail {
-
 /// The per-rank body of the streaming algorithm (Algorithms 5-6): phase
 /// intake + scatter, chunk processing, merge rounds on the virtual
-/// topology, state reduction with rank reversal. Shared by
-/// parda_analyze_stream and the session layer.
+/// topology, state reduction with rank reversal.
 template <OrderStatTree Tree>
 void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
                       const PardaOptions& options, Histogram& result,
@@ -321,13 +253,7 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
     {
       obs::SpanScope span("analyze", phase_no);
       state.begin_merge_stage();
-      if (options.block_dispatch) {
-        state.process_own_block(mine.span(), my_base);
-      } else {
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-          state.process_own(mine[i], my_base + i);
-        }
-      }
+      state.process_own_block(mine.span(), my_base);
     }
     profile.chunk_refs += mine.size();
     ++profile.phases;
@@ -385,64 +311,49 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
 
 }  // namespace detail
 
-/// Online multi-phase Parda (Algorithms 5-6) on a caller-owned WorkerPool.
-/// Rank 0 drains the pipe in phases of np*C references and scatters
-/// per-virtual-rank chunks; after each phase all resident state is reduced
-/// onto the virtual rank np-1, which becomes virtual rank 0 of the next
-/// phase (rank reversal), so the global state never travels. Requires
-/// space optimization (the reduce step relies on the disjoint-residency
-/// property of Algorithm 4).
+/// Parallel reuse distance analysis of `source` on a caller-owned
+/// WorkerPool, with options.num_procs ranks. The result equals the
+/// sequential analysis exactly (unbounded), or the bounded sequential
+/// analysis when options.bound is set.
+///
+/// Offline sources are partitioned once, then each rank pulls its own
+/// disjoint RankView from its own thread under an "ingest" span; for
+/// ChunkedTrzSource that call is the per-rank parallel decode, for span
+/// and mmap sources it is a zero-copy window. The ranks run Algorithm 3
+/// and resolve cross-chunk reuses through the local-infinity pipeline.
+///
+/// Streaming sources run Algorithms 5-6: rank 0 drains the pipe in phases
+/// of np*C references and scatters per-virtual-rank chunks; after each
+/// phase all resident state is reduced onto the virtual rank np-1, which
+/// becomes virtual rank 0 of the next phase (rank reversal), so the global
+/// state never travels. This requires space optimization (the reduce step
+/// relies on the disjoint-residency property of Algorithm 4).
+///
+/// The source must stay alive for the call (rank views alias its
+/// storage) and may be reused across calls; ChunkedTrzSource keeps its
+/// per-rank decode arenas warm.
 template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze_stream_on(comm::WorkerPool& pool, TracePipe& pipe,
-                                    const PardaOptions& options) {
+PardaResult parda_analyze(comm::WorkerPool& pool, TraceSource& source,
+                          const PardaOptions& options) {
   const int np = options.num_procs;
   PARDA_CHECK(np >= 1);
-  PARDA_CHECK(options.chunk_words >= 1);
-  PARDA_CHECK(options.space_optimized);
-  Histogram result;
-  std::vector<RankProfile> profiles;
-  comm::RunStats stats = pool.run_job(
-      np,
-      [&](comm::Comm& comm) {
-        detail::stream_rank_body<Tree>(comm, pipe, options, result, profiles);
-      },
-      options.run_options);
-  return PardaResult{std::move(result), std::move(stats),
-                     std::move(profiles)};
-}
-
-/// One-shot streaming analysis on a transient runtime (the historical
-/// entry point); see parda_analyze_stream_on.
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze_stream(TracePipe& pipe, const PardaOptions& options) {
-  comm::WorkerPool pool(options.num_procs);
-  return parda_analyze_stream_on<Tree>(pool, pipe, options);
-}
-
-/// Analysis through a TraceSource (DESIGN.md "Ingest"): offline sources
-/// (mmap, chunked trz) are partitioned once and each rank pulls its own
-/// disjoint RankView from its own thread — for ChunkedTrzSource that call
-/// IS the per-rank parallel decode, recorded under an "ingest" span;
-/// for MmapTraceSource it is a zero-copy window into the mapping.
-/// Streaming sources run the multi-phase pipe algorithm unchanged. The
-/// source must stay alive for the duration of the call (rank views alias
-/// its storage) and may be reused across calls — ChunkedTrzSource keeps
-/// its per-rank decode arenas warm.
-template <OrderStatTree Tree = SplayTree>
-PardaResult parda_analyze_source_on(comm::WorkerPool& pool,
-                                    TraceSource& source,
-                                    const PardaOptions& options) {
-  if (!source.offline()) {
-    return parda_analyze_stream_on<Tree>(pool, source.pipe(), options);
+  const bool offline = source.offline();
+  if (offline) {
+    source.partition(np);
+  } else {
+    PARDA_CHECK(options.chunk_words >= 1);
+    PARDA_CHECK(options.space_optimized);
   }
-  const int np = options.num_procs;
-  PARDA_CHECK(np >= 1);
-  source.partition(np);
   Histogram result;
   std::vector<RankProfile> profiles;
   comm::RunStats stats = pool.run_job(
       np,
       [&](comm::Comm& comm) {
+        if (!offline) {
+          detail::stream_rank_body<Tree>(comm, source.pipe(), options, result,
+                                         profiles);
+          return;
+        }
         RankView view;
         {
           obs::SpanScope span("ingest");

@@ -57,26 +57,28 @@ PardaRuntime::~PardaRuntime() {
 }
 
 PardaResult AnalysisSession::analyze(std::span<const Addr> trace) {
-  PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
-  return parda_analyze_on(runtime_->pool(), trace, options_);
-}
-
-PardaResult AnalysisSession::analyze_stream(TracePipe& pipe) {
-  PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
-  return parda_analyze_stream_on(runtime_->pool(), pipe, options_);
+  SpanTraceSource source(trace);
+  return analyze_source(source);
 }
 
 PardaResult AnalysisSession::analyze_source(TraceSource& source) {
   PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
-  return parda_analyze_source_on(runtime_->pool(), source, options_);
+  return parda_analyze(runtime_->pool(), source, options_);
 }
 
 PardaResult AnalysisSession::analyze_file(const std::string& path,
                                           std::size_t pipe_words,
                                           IngestMode ingest) {
-  PendingJobGuard pending(runtime_->pending_jobs_, runtime_->pending_gauge_);
-  return parda_analyze_file_on(runtime_->pool(), path, options_, pipe_words,
-                               ingest);
+  if (ingest != IngestMode::kPipe) {
+    const std::unique_ptr<TraceSource> source =
+        open_offline_source(path, ingest);
+    return analyze_source(*source);
+  }
+  return detail::run_with_file_producer(
+      path, options_, pipe_words, [&](TracePipe& pipe) {
+        PipeTraceSource source(pipe);
+        return analyze_source(source);
+      });
 }
 
 }  // namespace parda::core

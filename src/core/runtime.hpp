@@ -6,12 +6,12 @@
 // threads per call.
 //
 // Concurrency model: sessions are cheap value handles; any number of them
-// (on any threads) may call analyze()/analyze_stream()/analyze_file()
+// (on any threads) may call analyze()/analyze_source()/analyze_file()
 // concurrently. Jobs multiplex the runtime's single pool through its FIFO
 // admission queue — one job runs at a time, in arrival order, and the
-// results are exactly what the transient parda_analyze entry points
-// produce. A failed job (rank exception, injected fault, watchdog abort)
-// throws from that call only; the runtime stays healthy for the next one.
+// results are exactly what parda_analyze on a fresh pool produces. A
+// failed job (rank exception, injected fault, watchdog abort) throws from
+// that call only; the runtime stays healthy for the next one.
 //
 // The runtime must outlive every session created from it.
 #pragma once
@@ -35,17 +35,18 @@ class PardaRuntime;
 /// to the runtime's shared pool; tune options() freely between calls.
 class AnalysisSession {
  public:
-  /// Offline analysis of an in-memory trace (Algorithm 3).
+  /// Offline analysis of an in-memory trace (Algorithm 3), through a
+  /// SpanTraceSource.
   PardaResult analyze(std::span<const Addr> trace);
-  /// Online multi-phase analysis of a TracePipe (Algorithms 5-6).
-  PardaResult analyze_stream(TracePipe& pipe);
-  /// Analysis through a caller-owned TraceSource (trace/source.hpp):
+  /// parda_analyze over a caller-owned TraceSource (trace/source.hpp):
   /// offline sources run Algorithm 3 over their rank views; streaming
-  /// sources run the multi-phase pipe algorithm.
+  /// sources (PipeTraceSource) run the multi-phase pipe algorithm.
   PardaResult analyze_source(TraceSource& source);
-  /// Analysis of an on-disk trace through the chosen ingest path
-  /// (pipe producer, mmap view, or chunked .trz decode — see
-  /// core/file_analysis.hpp). pipe_words only applies to kPipe.
+  /// Analysis of an on-disk trace through the chosen ingest path: kPipe
+  /// streams the file through a producer thread and a pipe of pipe_words
+  /// into the multi-phase algorithm; kMmap (binary .trc/.bin) and kTrz
+  /// (chunked v2 .trz) open an offline source. pipe_words only applies to
+  /// kPipe.
   PardaResult analyze_file(const std::string& path,
                            std::size_t pipe_words = 1 << 20,
                            IngestMode ingest = IngestMode::kPipe);

@@ -8,14 +8,13 @@
 // (not by reference) keeps every reuse pair of a sampled address intact,
 // so the scaled distance d/rate is an unbiased estimate of the true stack
 // distance. Parda is "compatible with ... approximate analysis techniques"
-// (Section VII); sampled_parda_analysis composes the two.
+// (Section VII): run the parallel driver on sample_trace() and rescale.
 #pragma once
 
 #include <cmath>
 #include <span>
 #include <vector>
 
-#include "core/parda.hpp"
 #include "hist/histogram.hpp"
 #include "seq/analyzer.hpp"
 #include "seq/olken.hpp"
@@ -131,18 +130,6 @@ inline Histogram sampled_analysis(std::span<const Addr> trace, double rate,
                                   std::uint64_t seed = 1) {
   ApproxAnalyzer analyzer(rate, seed);
   return analyze_trace(analyzer, trace);
-}
-
-/// Sampling composed with the parallel algorithm (Section VII: "our
-/// algorithm can be combined with approximate analysis techniques").
-inline Histogram sampled_parda_analysis(std::span<const Addr> trace,
-                                        double rate,
-                                        const PardaOptions& options,
-                                        std::uint64_t seed = 1) {
-  if (rate >= 1.0) return parda_analyze(trace, options).hist;
-  const std::vector<Addr> sampled = sample_trace(trace, rate, seed);
-  return rescale_sampled_histogram(parda_analyze(sampled, options).hist,
-                                   rate);
 }
 
 }  // namespace parda

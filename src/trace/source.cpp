@@ -58,6 +58,19 @@ TracePipe& TraceSource::pipe() {
   PARDA_CHECK_MSG(false, "TraceSource: not a streaming source");
 }
 
+// --- SpanTraceSource --------------------------------------------------------
+
+void SpanTraceSource::partition(int np) {
+  PARDA_CHECK(np >= 1);
+  np_ = np;
+}
+
+RankView SpanTraceSource::rank_view(int rank) {
+  PARDA_CHECK_MSG(np_ >= 1, "SpanTraceSource: partition() before rank_view()");
+  PARDA_CHECK(rank >= 0 && rank < np_);
+  return detail::equal_rank_view(trace_, rank, np_);
+}
+
 // --- MmapTraceSource --------------------------------------------------------
 
 MmapTraceSource::MmapTraceSource(const std::string& path)
@@ -109,18 +122,7 @@ void MmapTraceSource::partition(int np) {
 RankView MmapTraceSource::rank_view(int rank) {
   PARDA_CHECK_MSG(np_ >= 1, "MmapTraceSource: partition() before rank_view()");
   PARDA_CHECK(rank >= 0 && rank < np_);
-  // The classic ceil-division split of Algorithm 3: rank p owns global
-  // positions [p*ceil(N/np), ...).
-  const std::uint64_t n = total_;
-  const std::uint64_t np = static_cast<std::uint64_t>(np_);
-  const std::uint64_t chunk = (n + np - 1) / np;
-  const std::uint64_t begin =
-      std::min(static_cast<std::uint64_t>(rank) * chunk, n);
-  const std::uint64_t end = std::min(begin + chunk, n);
-  return RankView{
-      std::span<const Addr>(refs_ + begin,
-                            static_cast<std::size_t>(end - begin)),
-      static_cast<Timestamp>(begin)};
+  return detail::equal_rank_view(view(), rank, np_);
 }
 
 // --- ChunkedTrzSource -------------------------------------------------------

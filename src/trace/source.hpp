@@ -10,6 +10,8 @@
 //                         an external producer (the Figure 3 shape). The
 //                         only choice when the trace is unbounded or
 //                         arrives live; runs the multi-phase Algorithm 5.
+//   - SpanTraceSource   — offline in-memory ingest: each rank analyzes a
+//                         disjoint view of a caller-owned span.
 //   - MmapTraceSource   — zero-copy offline .bin ingest: the file is
 //                         mmap'd once, madvise(SEQUENTIAL), and each rank
 //                         analyzes a disjoint view of the mapping. No
@@ -36,6 +38,7 @@
 //   ingest.decode          per-rank decode wall time (trz)
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <span>
@@ -68,12 +71,30 @@ struct RankView {
   Timestamp base = 0;
 };
 
+namespace detail {
+
+/// The equal ceil-division split of Algorithm 3: rank p owns global
+/// positions [p*ceil(N/np), ...). Ranks past the end get empty views.
+inline RankView equal_rank_view(std::span<const Addr> trace, int rank,
+                                int np) {
+  const std::size_t n = trace.size();
+  const std::size_t chunk = (n + static_cast<std::size_t>(np) - 1) /
+                            static_cast<std::size_t>(np);
+  const std::size_t begin =
+      std::min(static_cast<std::size_t>(rank) * chunk, n);
+  const std::size_t end = std::min(begin + chunk, n);
+  return RankView{trace.subspan(begin, end - begin),
+                  static_cast<Timestamp>(begin)};
+}
+
+}  // namespace detail
+
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// The ingest-mode label ("pipe" | "mmap" | "trz"), for diagnostics and
-  /// bench points.
+  /// The source label ("pipe" | "span" | "mmap" | "trz"), for
+  /// diagnostics and bench points.
   virtual const char* name() const noexcept = 0;
 
   /// Whether the whole trace is addressable up front. Offline sources
@@ -110,6 +131,23 @@ class PipeTraceSource final : public TraceSource {
 
  private:
   TracePipe* pipe_;
+};
+
+/// Offline source over a caller-owned in-memory trace, split with
+/// detail::equal_rank_view. The span must outlive the analysis.
+class SpanTraceSource final : public TraceSource {
+ public:
+  explicit SpanTraceSource(std::span<const Addr> trace) : trace_(trace) {}
+
+  const char* name() const noexcept override { return "span"; }
+  bool offline() const noexcept override { return true; }
+  std::uint64_t total_references() const override { return trace_.size(); }
+  void partition(int np) override;
+  RankView rank_view(int rank) override;
+
+ private:
+  std::span<const Addr> trace_;
+  int np_ = 0;
 };
 
 /// Zero-copy offline source over a binary (.trc/.bin) trace: maps the file

@@ -12,8 +12,12 @@
 #include "seq/bounded.hpp"
 #include "workload/generators.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
 
 TEST(OnlineMrcTest, NoDecayMatchesBoundedAnalysis) {
   ZipfWorkload w(300, 0.9, 3);
@@ -115,12 +119,12 @@ TEST(WindowedMrcTest, MatchesPerWindowColdAnalysisExactly) {
   std::size_t pos = 0;
   while (pos + kWindow <= trace.size()) {
     const std::span<const Addr> window(trace.data() + pos, kWindow);
-    decayed_fold(expected, parda_analyze(window, options).hist, kDecay);
+    decayed_fold(expected, run_parda(window, options).hist, kDecay);
     pos += kWindow;
   }
   if (pos < trace.size()) {
     const std::span<const Addr> tail(trace.data() + pos, trace.size() - pos);
-    expected.merge(parda_analyze(tail, options).hist);
+    expected.merge(run_parda(tail, options).hist);
   }
 
   EXPECT_TRUE(monitor.snapshot() == expected);

@@ -28,8 +28,13 @@
 #include "util/check.hpp"
 #include "workload/generators.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda::comm {
 namespace {
+
+using test_support::run_parda;
+using test_support::run_parda_pipe;
 
 using std::chrono::milliseconds;
 
@@ -360,13 +365,13 @@ TEST(CrossTransportEqualityTest, OfflineHistogramsAreBitIdentical) {
       options.num_procs = np;
       if (bound != 0) options.bound = bound;
       options.run_options = on_wire("threads");
-      const PardaResult expected = parda_analyze(trace, options);
+      const PardaResult expected = run_parda(trace, options);
       const std::string expected_json = expected.hist.to_json();
       for (const char* wire : {"shm", "tcp"}) {
         SCOPED_TRACE(std::string(wire) + " np=" + std::to_string(np) +
                      " bound=" + std::to_string(bound));
         options.run_options = on_wire(wire);
-        const PardaResult got = parda_analyze(trace, options);
+        const PardaResult got = run_parda(trace, options);
         EXPECT_TRUE(got.hist == expected.hist);
         // Bit-identical parda.histogram.v1, not just equal totals.
         EXPECT_EQ(got.hist.to_json(), expected_json);
@@ -391,7 +396,7 @@ TEST(CrossTransportEqualityTest, StreamedHistogramsAreBitIdentical) {
     options.num_procs = np;
     options.chunk_words = 320;
     options.run_options = on_wire(wire);
-    const PardaResult result = parda_analyze_stream(pipe, options);
+    const PardaResult result = run_parda_pipe(pipe, options);
     producer.join();
     return result;
   };

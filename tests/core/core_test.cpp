@@ -16,8 +16,12 @@
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
 
 std::vector<Addr> mixed_trace(std::size_t n, std::uint64_t seed) {
   std::vector<std::unique_ptr<Workload>> kids;
@@ -39,7 +43,7 @@ TEST_P(PardaEquivalenceTest, MatchesSequentialUnbounded) {
   PardaOptions options;
   options.num_procs = np;
   options.space_optimized = space_opt;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   EXPECT_TRUE(result.hist == expected)
       << "np=" << np << " space_opt=" << space_opt;
   EXPECT_EQ(result.stats.ranks.size(), static_cast<std::size_t>(np));
@@ -65,7 +69,7 @@ TEST_P(PardaBoundedTest, MatchesSequentialBounded) {
   PardaOptions options;
   options.num_procs = np;
   options.bound = bound;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   EXPECT_TRUE(result.hist == expected) << "np=" << np << " B=" << bound;
 }
 
@@ -81,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PardaTest, EmptyTrace) {
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult result = parda_analyze({}, options);
+  const PardaResult result = run_parda({}, options);
   EXPECT_EQ(result.hist.total(), 0u);
 }
 
@@ -89,7 +93,7 @@ TEST(PardaTest, TraceShorterThanRankCount) {
   const std::vector<Addr> trace{1, 2, 1};
   PardaOptions options;
   options.num_procs = 8;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   EXPECT_TRUE(result.hist == olken_analysis(trace));
 }
 
@@ -97,7 +101,7 @@ TEST(PardaTest, SingleAddressTrace) {
   const std::vector<Addr> trace(100, 7);
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   EXPECT_EQ(result.hist.infinities(), 1u);
   EXPECT_EQ(result.hist.at(0), 99u);
 }
@@ -107,7 +111,7 @@ TEST(PardaTest, AllDistinctTrace) {
   for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = i;
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   EXPECT_EQ(result.hist.infinities(), 512u);
   EXPECT_EQ(result.hist.finite_total(), 0u);
 }
@@ -117,9 +121,9 @@ TEST(PardaTest, WorksWithEveryTreeEngine) {
   const Histogram expected = olken_analysis(trace);
   PardaOptions options;
   options.num_procs = 3;
-  EXPECT_TRUE(parda_analyze<SplayTree>(trace, options).hist == expected);
-  EXPECT_TRUE(parda_analyze<AvlTree>(trace, options).hist == expected);
-  EXPECT_TRUE(parda_analyze<Treap>(trace, options).hist == expected);
+  EXPECT_TRUE(run_parda<SplayTree>(trace, options).hist == expected);
+  EXPECT_TRUE(run_parda<AvlTree>(trace, options).hist == expected);
+  EXPECT_TRUE(run_parda<Treap>(trace, options).hist == expected);
 }
 
 TEST(PardaTest, SpecWorkloadsRoundTrip) {
@@ -130,7 +134,7 @@ TEST(PardaTest, SpecWorkloadsRoundTrip) {
     const Histogram expected = olken_analysis(trace);
     PardaOptions options;
     options.num_procs = 5;
-    EXPECT_TRUE(parda_analyze(trace, options).hist == expected)
+    EXPECT_TRUE(run_parda(trace, options).hist == expected)
         << std::string(name);
   }
 }
@@ -140,7 +144,7 @@ TEST(PardaTest, BoundedWithBoundLargerThanFootprintEqualsExact) {
   PardaOptions options;
   options.num_procs = 4;
   options.bound = 1 << 20;
-  EXPECT_TRUE(parda_analyze(trace, options).hist == olken_analysis(trace));
+  EXPECT_TRUE(run_parda(trace, options).hist == olken_analysis(trace));
 }
 
 // --- RankState unit behaviour ----------------------------------------------
@@ -149,7 +153,7 @@ TEST(PardaProfileTest, OfflineProfilesAreConsistent) {
   const auto trace = mixed_trace(6000, 99);
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   ASSERT_EQ(result.profiles.size(), 4u);
 
   std::uint64_t chunk_total = 0;
@@ -174,7 +178,7 @@ TEST(PardaProfileTest, BoundedCapsPeakResidency) {
   PardaOptions options;
   options.num_procs = 3;
   options.bound = 32;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   for (const RankProfile& p : result.profiles) {
     EXPECT_LE(p.peak_resident, 32u);
   }
@@ -260,6 +264,29 @@ TEST(RankStateTest, PruneToBoundKeepsMostRecent) {
   state.begin_merge_stage();
   state.process_incoming(std::vector<InfRecord>{{1, 40}});
   EXPECT_EQ(state.pending_infinities(), 1u);
+}
+
+TEST(RankStateTest, ProcessOwnBlockEqualsPerReferenceLoop) {
+  // The parallel drivers feed every chunk through process_own_block; it
+  // must leave exactly the state the per-reference process_own loop does.
+  // The base is nonzero, as on every rank but the first.
+  ZipfWorkload w(3000, 0.9, 17);
+  const std::vector<Addr> chunk = generate_trace(w, 20000);
+  constexpr Timestamp kBase = 123457;
+  for (const std::uint64_t bound : {kUnbounded, std::uint64_t{64}}) {
+    RankState<> block(bound);
+    block.process_own_block(chunk, kBase);
+    RankState<> loop(bound);
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      loop.process_own(chunk[i], kBase + i);
+    }
+    EXPECT_TRUE(block.hist() == loop.hist()) << "B=" << bound;
+    EXPECT_EQ(block.take_local_infinities(), loop.take_local_infinities())
+        << "B=" << bound;
+    EXPECT_EQ(block.peak_resident(), loop.peak_resident()) << "B=" << bound;
+    EXPECT_EQ(block.table().probe_count(), loop.table().probe_count())
+        << "B=" << bound;
+  }
 }
 
 TEST(RankStateTest, FlushGlobalInfinitiesCountsPending) {

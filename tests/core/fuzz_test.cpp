@@ -24,8 +24,13 @@
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
+using test_support::run_parda_pipe;
 
 /// An adversarial trace cocktail: random segments of wildly different
 /// locality, chosen by seed.
@@ -105,7 +110,7 @@ TEST_P(FuzzEquivalenceTest, AllExactEnginesAgree) {
       PardaOptions options;
       options.num_procs = np;
       options.space_optimized = space_opt;
-      EXPECT_TRUE(parda_analyze(trace, options).hist == expected)
+      EXPECT_TRUE(run_parda(trace, options).hist == expected)
           << "np=" << np << " opt=" << space_opt;
     }
   }
@@ -119,7 +124,7 @@ TEST_P(FuzzEquivalenceTest, BoundedEnginesAgree) {
     PardaOptions options;
     options.num_procs = 4;
     options.bound = bound;
-    EXPECT_TRUE(parda_analyze(trace, options).hist == expected)
+    EXPECT_TRUE(run_parda(trace, options).hist == expected)
         << "B=" << bound;
   }
 }
@@ -142,7 +147,7 @@ TEST_P(FuzzEquivalenceTest, StreamedMatchesOffline) {
     }
     pipe.close();
   });
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  const PardaResult result = run_parda_pipe(pipe, options);
   producer.join();
   EXPECT_TRUE(result.hist == expected)
       << "np=" << options.num_procs << " C=" << options.chunk_words
@@ -169,7 +174,7 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
     }
     pipe.close();
   });
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  const PardaResult result = run_parda_pipe(pipe, options);
   producer.join();
   EXPECT_TRUE(result.hist == expected)
       << "np=" << options.num_procs << " C=" << options.chunk_words

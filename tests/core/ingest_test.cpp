@@ -17,7 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/file_analysis.hpp"
 #include "core/parda.hpp"
 #include "core/runtime.hpp"
 #include "obs/metrics.hpp"
@@ -29,8 +28,13 @@
 #include "trace/trace_io.hpp"
 #include "workload/generators.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
+using test_support::run_parda_file;
 
 std::string temp_path(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -63,13 +67,18 @@ class IngestTest : public ::testing::Test {
     delete trz_path_;
   }
 
-  static PardaResult analyze(IngestMode mode, int np, std::uint64_t bound) {
+  static PardaOptions options_for(int np, std::uint64_t bound) {
     PardaOptions options;
     options.num_procs = np;
     options.bound = bound;
+    return options;
+  }
+
+  static PardaResult analyze(IngestMode mode, int np, std::uint64_t bound) {
+    const PardaOptions options = options_for(np, bound);
     const std::string& path =
         mode == IngestMode::kTrz ? *trz_path_ : *trc_path_;
-    return parda_analyze_file(path, options, 1 << 12, mode);
+    return run_parda_file(path, options, 1 << 12, mode);
   }
 
   static std::vector<Addr>* trace_;
@@ -90,12 +99,14 @@ TEST_P(IngestEquivalenceTest, AllSourcesBitIdentical) {
   const PardaResult pipe = analyze(IngestMode::kPipe, np, bound);
   const PardaResult mmap = analyze(IngestMode::kMmap, np, bound);
   const PardaResult trz = analyze(IngestMode::kTrz, np, bound);
+  const PardaResult span = run_parda(*trace_, options_for(np, bound));
 
   const Histogram expected = bound == 0 ? olken_analysis(*trace_)
                                         : bounded_analysis(*trace_, bound);
   EXPECT_TRUE(pipe.hist == expected) << "pipe np=" << np << " B=" << bound;
   EXPECT_TRUE(mmap.hist == expected) << "mmap np=" << np << " B=" << bound;
   EXPECT_TRUE(trz.hist == expected) << "trz np=" << np << " B=" << bound;
+  EXPECT_TRUE(span.hist == expected) << "span np=" << np << " B=" << bound;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,11 +120,18 @@ TEST_F(IngestTest, MmapViewsAliasTheMappingAndTileTheTrace) {
   EXPECT_EQ(source.total_references(), trace_->size());
   const auto* base = static_cast<const std::uint8_t*>(source.map_base());
   const auto* end = base + source.map_bytes();
-  for (const int np : {1, 2, 3, 4, 7}) {
+  // The last np exceeds the trace length: its trailing views are empty.
+  const int past_end = static_cast<int>(trace_->size()) + 3;
+  for (const int np : {1, 2, 3, 4, 7, past_end}) {
     source.partition(np);
     std::uint64_t covered = 0;
     for (int r = 0; r < np; ++r) {
       const RankView view = source.rank_view(r);
+      // The one ceil-split of Algorithm 3, shared with SpanTraceSource.
+      const RankView equal = detail::equal_rank_view(*trace_, r, np);
+      EXPECT_EQ(view.refs.size(), equal.refs.size())
+          << "np=" << np << " rank=" << r;
+      EXPECT_EQ(view.base, equal.base) << "np=" << np << " rank=" << r;
       // Cumulative clock: the view starts at its global position.
       EXPECT_EQ(view.base, covered) << "np=" << np << " rank=" << r;
       covered += view.refs.size();
@@ -133,6 +151,7 @@ TEST_F(IngestTest, MmapViewsAliasTheMappingAndTileTheTrace) {
     }
     EXPECT_EQ(covered, trace_->size()) << "np=" << np;
   }
+  EXPECT_TRUE(source.rank_view(past_end - 1).refs.empty());
 }
 
 TEST_F(IngestTest, MmapViewReadableForSourceLifetime) {
@@ -184,9 +203,9 @@ TEST_F(IngestTest, TrzSourceReusableAcrossAnalyses) {
   ChunkedTrzSource source(*trz_path_);
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult first = parda_analyze_source_on(pool, source, options);
+  const PardaResult first = parda_analyze(pool, source, options);
   options.num_procs = 2;
-  const PardaResult second = parda_analyze_source_on(pool, source, options);
+  const PardaResult second = parda_analyze(pool, source, options);
   const Histogram expected = olken_analysis(*trace_);
   EXPECT_TRUE(first.hist == expected);
   EXPECT_TRUE(second.hist == expected);
@@ -203,7 +222,7 @@ TEST_F(IngestTest, PipeSourceRunsTheStreamingAlgorithm) {
   comm::WorkerPool pool(2);
   PardaOptions options;
   options.num_procs = 2;
-  const PardaResult result = parda_analyze_source_on(pool, source, options);
+  const PardaResult result = parda_analyze(pool, source, options);
   producer.join();
   EXPECT_TRUE(result.hist == olken_analysis(*trace_));
 }

@@ -14,8 +14,12 @@
 #include "seq/olken.hpp"
 #include "tree/splay_tree.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
 
 std::vector<Addr> to_trace(const char* letters) {
   std::vector<Addr> trace;
@@ -106,7 +110,7 @@ TEST(PaperTable2, GlobalDistancesMatchPaper) {
 
   PardaOptions options;
   options.num_procs = 2;
-  EXPECT_TRUE(parda_analyze(trace, options).hist == expected_seq);
+  EXPECT_TRUE(run_parda(trace, options).hist == expected_seq);
 }
 
 TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
@@ -204,7 +208,7 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   // And the full comm-driven run agrees too.
   PardaOptions options;
   options.num_procs = 3;
-  EXPECT_TRUE(parda_analyze(trace, options).hist == merged);
+  EXPECT_TRUE(run_parda(trace, options).hist == merged);
 }
 
 TEST(PaperSection2, FormalismExamples) {

@@ -13,8 +13,12 @@
 #include "trace/trace_pipe.hpp"
 #include "workload/generators.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
 
 std::vector<Addr> make_trace(std::uint64_t refs, std::uint64_t seed) {
   ZipfWorkload w(500, 0.9, seed);
@@ -56,7 +60,7 @@ TEST(PardaRuntimeTest, SessionMatchesTransientEntryPoint) {
   const auto trace = make_trace(8000, 2);
   PardaOptions options;
   options.num_procs = 3;
-  const Histogram reference = parda_analyze(trace, options).hist;
+  const Histogram reference = run_parda(trace, options).hist;
 
   core::PardaRuntime runtime;
   auto session = runtime.session(options);
@@ -64,7 +68,7 @@ TEST(PardaRuntimeTest, SessionMatchesTransientEntryPoint) {
   // Bounded too: the session honors option changes between calls.
   session.options().bound = 64;
   const Histogram bounded_ref =
-      parda_analyze(trace, session.options()).hist;
+      run_parda(trace, session.options()).hist;
   EXPECT_TRUE(session.analyze(trace).hist == bounded_ref);
 }
 
@@ -89,7 +93,7 @@ TEST(PardaRuntimeTest, FaultedJobLeavesRuntimeHealthy) {
   core::PardaRuntime runtime;
   PardaOptions options;
   options.num_procs = 3;
-  const Histogram reference = parda_analyze(trace, options).hist;
+  const Histogram reference = run_parda(trace, options).hist;
 
   auto session = runtime.session(options);
   session.options().run_options.fault_plan = &plan;
@@ -110,8 +114,8 @@ TEST(PardaRuntimeTest, ConcurrentSessionsMatchSequentialResults) {
   PardaOptions options_b;
   options_b.num_procs = 4;
   options_b.bound = 128;
-  const Histogram ref_a = parda_analyze(trace_a, options_a).hist;
-  const Histogram ref_b = parda_analyze(trace_b, options_b).hist;
+  const Histogram ref_a = run_parda(trace_a, options_a).hist;
+  const Histogram ref_b = run_parda(trace_b, options_b).hist;
 
   core::PardaRuntime runtime;
   bool ok_a = true;
@@ -168,14 +172,15 @@ TEST(PardaRuntimeTest, AnalyzeStreamViaSession) {
   PardaOptions options;
   options.num_procs = 2;
   options.chunk_words = 1024;
-  const Histogram reference = parda_analyze(trace, options).hist;
+  const Histogram reference = run_parda(trace, options).hist;
 
   core::PardaRuntime runtime;
   auto session = runtime.session(options);
   TracePipe pipe(trace.size() + 1);
   pipe.write(std::vector<Addr>(trace));
   pipe.close();
-  EXPECT_TRUE(session.analyze_stream(pipe).hist == reference);
+  PipeTraceSource source(pipe);
+  EXPECT_TRUE(session.analyze_source(source).hist == reference);
 }
 
 TEST(PardaRuntimeTest, AnalyzeFileViaSession) {
@@ -187,7 +192,7 @@ TEST(PardaRuntimeTest, AnalyzeFileViaSession) {
   PardaOptions options;
   options.num_procs = 2;
   options.chunk_words = 2048;
-  const Histogram reference = parda_analyze(trace, options).hist;
+  const Histogram reference = run_parda(trace, options).hist;
 
   core::PardaRuntime runtime;
   auto session = runtime.session(options);

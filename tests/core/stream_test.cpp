@@ -11,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/file_analysis.hpp"
 #include "core/parda.hpp"
 #include "seq/bounded.hpp"
 #include "seq/olken.hpp"
@@ -19,8 +18,13 @@
 #include "trace/trace_pipe.hpp"
 #include "workload/generators.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda_file;
+using test_support::run_parda_pipe;
 
 std::vector<Addr> stream_trace(std::size_t n, std::uint64_t seed) {
   std::vector<std::unique_ptr<Workload>> kids;
@@ -44,7 +48,7 @@ PardaResult run_streamed(const std::vector<Addr>& trace,
     }
     pipe.close();
   });
-  PardaResult result = parda_analyze_stream(pipe, options);
+  PardaResult result = run_parda_pipe(pipe, options);
   producer.join();
   return result;
 }
@@ -109,7 +113,7 @@ TEST(StreamTest, EmptyStream) {
   pipe.close();
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  const PardaResult result = run_parda_pipe(pipe, options);
   EXPECT_EQ(result.hist.total(), 0u);
 }
 
@@ -159,7 +163,7 @@ TEST(FileAnalysisTest, StreamsTraceFileCorrectly) {
   options.num_procs = 3;
   options.chunk_words = 500;
   const PardaResult result =
-      parda_analyze_file(path, options, /*pipe_words=*/2048);
+      run_parda_file(path, options, /*pipe_words=*/2048);
   EXPECT_TRUE(result.hist == olken_analysis(trace));
   std::remove(path.c_str());
 }
@@ -167,7 +171,7 @@ TEST(FileAnalysisTest, StreamsTraceFileCorrectly) {
 TEST(FileAnalysisTest, MissingFileThrows) {
   PardaOptions options;
   options.num_procs = 2;
-  EXPECT_THROW(parda_analyze_file("/does/not/exist.trc", options),
+  EXPECT_THROW(run_parda_file("/does/not/exist.trc", options),
                std::runtime_error);
 }
 
@@ -180,7 +184,7 @@ TEST(FileAnalysisTest, BoundedFileAnalysis) {
   options.num_procs = 4;
   options.bound = 64;
   options.chunk_words = 256;
-  const PardaResult result = parda_analyze_file(path, options, 1024);
+  const PardaResult result = run_parda_file(path, options, 1024);
   EXPECT_TRUE(result.hist == bounded_analysis(trace, 64));
   std::remove(path.c_str());
 }

@@ -24,8 +24,13 @@
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
+using test_support::run_parda_pipe;
 
 TEST(Figure3Pipeline, VmProgramThroughPipeToParallelAnalysis) {
   // The paper's framework: the instrumented program streams addresses into
@@ -55,7 +60,7 @@ TEST(Figure3Pipeline, VmProgramThroughPipeToParallelAnalysis) {
   PardaOptions options;
   options.num_procs = 4;
   options.chunk_words = 500;
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  const PardaResult result = run_parda_pipe(pipe, options);
   producer.join();
 
   EXPECT_TRUE(result.hist == expected);
@@ -85,7 +90,7 @@ TEST(Figure3Pipeline, BoundedOnlineAnalysisOfListChase) {
   options.num_procs = 3;
   options.chunk_words = 200;
   options.bound = 256;  // below the 600-node footprint: everything misses
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  const PardaResult result = run_parda_pipe(pipe, options);
   producer.join();
 
   // Every round-to-round reuse spans 599 distinct elements >= bound 256.
@@ -100,7 +105,7 @@ TEST(EndToEnd, AllEnginesAgreeOnSpecWorkload) {
   const Histogram olken = olken_analysis(trace);
   PardaOptions options;
   options.num_procs = 4;
-  const Histogram parda = parda_analyze(trace, options).hist;
+  const Histogram parda = run_parda(trace, options).hist;
   EXPECT_TRUE(naive == olken);
   EXPECT_TRUE(olken == parda);
 }
@@ -110,7 +115,7 @@ TEST(EndToEnd, HistogramPredictsEveryCacheSize) {
   const auto trace = generate_trace(*w, 12000);
   PardaOptions options;
   options.num_procs = 2;
-  const Histogram hist = parda_analyze(trace, options).hist;
+  const Histogram hist = run_parda(trace, options).hist;
   for (std::uint64_t c = 1; c <= 256; c *= 4) {
     LruCache cache(c);
     for (Addr a : trace) cache.access(a);
@@ -138,7 +143,7 @@ TEST(EndToEnd, BoundedPardaSufficesForBoundedCaches) {
   PardaOptions options;
   options.num_procs = 4;
   options.bound = bound;
-  const Histogram bounded = parda_analyze(trace, options).hist;
+  const Histogram bounded = run_parda(trace, options).hist;
   for (std::uint64_t c : {1u, 16u, 64u, 128u}) {
     LruCache cache(c);
     for (Addr a : trace) cache.access(a);
@@ -151,7 +156,7 @@ TEST(EndToEnd, PerRankStatsAreAccounted) {
       *make_spec_workload("calculix", 400000, 37), 20000);
   PardaOptions options;
   options.num_procs = 4;
-  const PardaResult result = parda_analyze(trace, options);
+  const PardaResult result = run_parda(trace, options);
   // Every rank did some work and sent at least its infinity lists.
   std::uint64_t msgs = 0;
   for (const auto& r : result.stats.ranks) msgs += r.messages_sent;
@@ -184,7 +189,7 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   PardaOptions options;
   options.num_procs = kRanks;
   options.chunk_words = kChunk;
-  const PardaResult result = parda_analyze_stream(pipe, options);
+  const PardaResult result = run_parda_pipe(pipe, options);
   producer.join();
   obs::set_enabled(false);
 

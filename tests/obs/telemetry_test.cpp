@@ -31,8 +31,12 @@
 #include "util/json.hpp"
 #include "workload/generators.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda::obs {
 namespace {
+
+using test_support::run_parda;
 
 json::Value parse_ok(const std::string& text) { return json::parse(text); }
 
@@ -477,12 +481,13 @@ TEST(TelemetryServer, ScrapesConcurrentWithStreamingAnalysis) {
   });
 
   auto session = runtime.session(options);
-  const Histogram reference = parda_analyze(trace, options).hist;
+  const Histogram reference = run_parda(trace, options).hist;
   for (int i = 0; i < 4; ++i) {
     TracePipe pipe(trace.size() + 1);
     pipe.write(std::vector<Addr>(trace));
     pipe.close();
-    EXPECT_TRUE(session.analyze_stream(pipe).hist == reference);
+    PipeTraceSource source(pipe);
+    EXPECT_TRUE(session.analyze_source(source).hist == reference);
   }
   done.store(true, std::memory_order_relaxed);
   scraper.join();
@@ -665,7 +670,7 @@ TEST(FleetMetrics, CountersStayMonotoneAcrossWorldReset) {
   core::PardaRuntime runtime;
   PardaOptions options;
   options.num_procs = 3;
-  const Histogram reference = parda_analyze(trace, options).hist;
+  const Histogram reference = run_parda(trace, options).hist;
 
   auto session = runtime.session(options);
   session.options().run_options.fault_plan = &plan;
@@ -788,7 +793,8 @@ TEST(SpanReportIntegration, InjectedDelayNamesTheDelayedRank) {
   TracePipe pipe(trace.size() + 1);
   pipe.write(std::vector<Addr>(trace));
   pipe.close();
-  session.analyze_stream(pipe);
+  PipeTraceSource source(pipe);
+  session.analyze_source(source);
 
   const SpanReport report = SpanReport::from_tracer(tracer());
   ASSERT_FALSE(report.phases().empty());

@@ -15,8 +15,12 @@
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
 
 TEST(BennettKruskalTest, EmptyTrace) {
   EXPECT_EQ(bennett_kruskal_analysis({}).total(), 0u);
@@ -104,8 +108,8 @@ TEST(SampledAnalysisTest, ComposesWithParda) {
   const auto trace = generate_trace(w, 60000);
   PardaOptions options;
   options.num_procs = 3;
-  const Histogram via_parda =
-      sampled_parda_analysis(trace, 0.2, options, 7);
+  const Histogram via_parda = rescale_sampled_histogram(
+      run_parda(sample_trace(trace, 0.2, 7), options).hist, 0.2);
   const Histogram via_seq = sampled_analysis(trace, 0.2, 7);
   // Same sample, same exact engine underneath: identical results.
   EXPECT_TRUE(via_parda == via_seq);

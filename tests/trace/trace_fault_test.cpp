@@ -1,7 +1,7 @@
 // Failure-path tests for trace I/O and the streaming pipeline: corrupt
 // trace fixtures (truncated, bad magic, bad version, count mismatch),
 // TracePipe poisoning from both sides, and deterministic producer faults
-// through parda_analyze_file. These run under TSAN in CI.
+// through AnalysisSession::analyze_file. These run under TSAN in CI.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,14 +15,18 @@
 #include <vector>
 
 #include "comm/fault.hpp"
-#include "core/file_analysis.hpp"
 #include "core/parda.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"
 #include "util/check.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
+using test_support::run_parda_file;
 
 std::string temp_path(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -257,7 +261,7 @@ TEST(AnalyzeFileFaultTest, ProducerFaultPlanStopsTheRunCleanly) {
   options.run_options.fault_plan = &plan;
 
   try {
-    parda_analyze_file(path, options, /*pipe_words=*/1 << 14);
+    run_parda_file(path, options, /*pipe_words=*/1 << 14);
     FAIL() << "expected the injected producer fault to surface";
   } catch (const comm::FaultInjectedError& e) {
     EXPECT_NE(std::string(e.what()).find("after 100000 words"),
@@ -269,7 +273,7 @@ TEST(AnalyzeFileFaultTest, ProducerFaultPlanStopsTheRunCleanly) {
 TEST(AnalyzeFileFaultTest, CorruptTraceSurfacesAsTraceFormatError) {
   const std::string path = write_fixture("analyze-trunc.trc", kTraceMagic,
                                          kTraceVersion, 100, {1, 2, 3});
-  EXPECT_THROW(parda_analyze_file(path, streaming_options(2)),
+  EXPECT_THROW(run_parda_file(path, streaming_options(2)),
                TraceFormatError);
 }
 
@@ -280,8 +284,8 @@ TEST(AnalyzeFileFaultTest, CleanRunMatchesInMemoryAnalysis) {
   write_trace_binary(path, trace);
 
   const PardaResult streamed =
-      parda_analyze_file(path, streaming_options(4), /*pipe_words=*/1 << 14);
-  const PardaResult in_memory = parda_analyze(trace, streaming_options(4));
+      run_parda_file(path, streaming_options(4), /*pipe_words=*/1 << 14);
+  const PardaResult in_memory = run_parda(trace, streaming_options(4));
   EXPECT_EQ(streamed.hist.total(), in_memory.hist.total());
   EXPECT_EQ(streamed.hist.infinities(), in_memory.hist.infinities());
   EXPECT_EQ(streamed.hist.max_distance(), in_memory.hist.max_distance());

@@ -11,8 +11,12 @@
 #include "seq/olken.hpp"
 #include "workload/spec.hpp"
 
+#include "support/run_parda.hpp"
+
 namespace parda {
 namespace {
+
+using test_support::run_parda;
 
 class SpecProfileSweep : public ::testing::TestWithParam<std::size_t> {
  protected:
@@ -45,7 +49,7 @@ TEST_P(SpecProfileSweep, ParallelEqualsSequential) {
   const Histogram expected = olken_analysis(trace);
   PardaOptions options;
   options.num_procs = 3;
-  EXPECT_TRUE(parda_analyze(trace, options).hist == expected)
+  EXPECT_TRUE(run_parda(trace, options).hist == expected)
       << profile().name;
 }
 
