@@ -3,11 +3,11 @@
 // overheads inside every Parda run.
 //
 // Besides the google-benchmark microbenchmarks, this harness runs a
-// data-movement pattern suite (broadcast / scatter / pipeline, each in its
-// copying and zero-copy form) across every in-process wire (threads, shm,
-// tcp) and writes the copy-count accounting to BENCH_comm.json (override
-// the path with PARDA_BENCH_JSON). This is the artifact that shows the
-// zero-copy transport actually removes copies rather than merely
+// data-movement pattern suite (broadcast, plus scatter and pipeline each in
+// its copying and zero-copy form) across every in-process wire (threads,
+// shm, tcp) and writes the copy-count accounting to BENCH_comm.json
+// (override the path with PARDA_BENCH_JSON). This is the artifact that
+// shows the zero-copy transport actually removes copies rather than merely
 // relabeling them — and what each byte costs once it has to cross a real
 // wire.
 //
@@ -28,6 +28,8 @@
 #include "bench_common.hpp"
 #include "comm/comm.hpp"
 #include "comm/transport/spec.hpp"
+#include "comm/worker_pool.hpp"
+#include "core/parda.hpp"
 #include "obs/runtime.hpp"
 #include "obs/telemetry.hpp"
 #include "util/timer.hpp"
@@ -39,8 +41,9 @@ void BM_PingPong(benchmark::State& state) {
   const auto rounds = static_cast<int>(state.range(0));
   const std::vector<std::uint64_t> payload(
       static_cast<std::size_t>(state.range(1)), 42);
+  WorkerPool pool;
   for (auto _ : state) {
-    run(2, [&](Comm& comm) {
+    pool.run_job(2, [&](Comm& comm) {
       for (int i = 0; i < rounds; ++i) {
         if (comm.rank() == 0) {
           comm.send(1, 1, payload);
@@ -65,8 +68,9 @@ BENCHMARK(BM_PingPong)->Args({1000, 1})->Args({100, 1 << 16})->UseRealTime();
 void BM_Barrier(benchmark::State& state) {
   const auto np = static_cast<int>(state.range(0));
   const int rounds = 500;
+  WorkerPool pool;
   for (auto _ : state) {
-    run(np, [&](Comm& comm) {
+    pool.run_job(np, [&](Comm& comm) {
       for (int i = 0; i < rounds; ++i) comm.barrier();
     });
   }
@@ -77,15 +81,19 @@ void BM_Barrier(benchmark::State& state) {
 BENCHMARK(BM_Barrier)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_ReduceSum(benchmark::State& state) {
+  // The histogram reduction PARDA runs at the end of every analysis: each
+  // rank contributes one count at every distance below range(1).
   const auto np = static_cast<int>(state.range(0));
-  const std::vector<std::uint64_t> mine(
-      static_cast<std::size_t>(state.range(1)), 1);
+  Histogram mine;
+  for (Distance d = 0; d < static_cast<Distance>(state.range(1)); ++d) {
+    mine.record(d);
+  }
   const int rounds = 50;
+  WorkerPool pool;
   for (auto _ : state) {
-    run(np, [&](Comm& comm) {
+    pool.run_job(np, [&](Comm& comm) {
       for (int i = 0; i < rounds; ++i) {
-        benchmark::DoNotOptimize(comm.reduce_sum_u64(
-            std::span<const std::uint64_t>(mine), 0, 3));
+        benchmark::DoNotOptimize(reduce_histogram(comm, mine, 0).total());
       }
     });
   }
@@ -96,10 +104,12 @@ void BM_ReduceSum(benchmark::State& state) {
 BENCHMARK(BM_ReduceSum)->Args({4, 1 << 10})->Args({8, 1 << 14})->UseRealTime();
 
 void BM_SpawnTeardown(benchmark::State& state) {
-  // The fixed cost of comm::run itself (thread spawn + join per phase).
+  // The fixed cost of a one-shot job: a transient pool spawns and joins
+  // its threads around a single empty job.
   const auto np = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    run(np, [](Comm&) {});
+    WorkerPool pool(np);
+    pool.run_job(np, [](Comm&) {});
   }
 }
 
@@ -108,8 +118,9 @@ BENCHMARK(BM_SpawnTeardown)->Arg(2)->Arg(8)->Arg(16)->UseRealTime();
 void BM_MoveSend(benchmark::State& state) {
   // Zero-copy point-to-point: move the buffer in, move it back out.
   const auto words = static_cast<std::size_t>(state.range(0));
+  WorkerPool pool;
   for (auto _ : state) {
-    run(2, [&](Comm& comm) {
+    pool.run_job(2, [&](Comm& comm) {
       if (comm.rank() == 0) {
         std::vector<std::uint64_t> payload(words, 42);
         for (int i = 0; i < 100; ++i) {
@@ -235,8 +246,10 @@ struct PatternResult {
   RunStats stats;
 };
 
-/// Pattern context: which wire to run over plus the shared sweep sizes.
+/// Pattern context: the pool and wire to run over plus the shared sweep
+/// sizes.
 struct PatternEnv {
+  WorkerPool* pool;
   RunOptions options;
   std::string transport;  // spec kind, for the point identity
   int np;
@@ -248,7 +261,7 @@ PatternResult broadcast_copying(const PatternEnv& env) {
   const int np = env.np;
   const std::size_t words = env.words;
   const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
+  const RunStats stats = env.pool->run_job(np, [&](Comm& comm) {
     const std::vector<std::uint64_t> block(words, 7);
     for (int i = 0; i < rounds; ++i) {
       std::vector<std::uint64_t> data;
@@ -260,45 +273,32 @@ PatternResult broadcast_copying(const PatternEnv& env) {
   return {"broadcast_copying", env.transport, np, words, rounds, stats};
 }
 
-PatternResult broadcast_view(const PatternEnv& env) {
-  const int np = env.np;
-  const std::size_t words = env.words;
-  const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
-    for (int i = 0; i < rounds; ++i) {
-      std::vector<std::uint64_t> data;
-      if (comm.rank() == 0) data.assign(words, 7);
-      const View<std::uint64_t> v =
-          comm.broadcast_view(std::move(data), 0, i + 1);
-      benchmark::DoNotOptimize(v.data());
-    }
-  }, env.options);
-  return {"broadcast_view", env.transport, np, words, rounds, stats};
-}
-
 PatternResult scatter_copying(const PatternEnv& env) {
-  // The pre-zero-copy streaming shape: the root splits each phase block
-  // into np owned chunk vectors and scatters them.
+  // The pre-zero-copy streaming shape: the root copies each rank's slice
+  // of the phase block into its own point-to-point message.
   const int np = env.np;
   const std::size_t words = env.words;
   const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
+  const RunStats stats = env.pool->run_job(np, [&](Comm& comm) {
+    const std::size_t chunk = words / static_cast<std::size_t>(np);
     for (int i = 0; i < rounds; ++i) {
-      std::vector<std::vector<std::uint64_t>> pieces;
+      std::vector<std::uint64_t> mine;
       if (comm.rank() == 0) {
         const std::vector<std::uint64_t> block(words, 9);
-        pieces.assign(static_cast<std::size_t>(np), {});
-        const std::size_t chunk = words / static_cast<std::size_t>(np);
         for (int r = 0; r < np; ++r) {
           const auto lo = static_cast<std::size_t>(r) * chunk;
-          const std::size_t hi =
-              r == np - 1 ? words : lo + chunk;
-          pieces[static_cast<std::size_t>(r)].assign(
-              block.begin() + static_cast<std::ptrdiff_t>(lo),
-              block.begin() + static_cast<std::ptrdiff_t>(hi));
+          const std::size_t hi = r == np - 1 ? words : lo + chunk;
+          const std::span<const std::uint64_t> slice(block.data() + lo,
+                                                     hi - lo);
+          if (r == 0) {
+            mine.assign(slice.begin(), slice.end());
+          } else {
+            comm.send(r, i + 1, slice);  // span: one counted copy
+          }
         }
+      } else {
+        mine = comm.recv<std::uint64_t>(0, i + 1);
       }
-      const auto mine = comm.scatterv(pieces, 0, i + 1);  // lvalue: copies
       benchmark::DoNotOptimize(mine.data());
     }
   }, env.options);
@@ -310,7 +310,7 @@ PatternResult scatter_view(const PatternEnv& env) {
   const int np = env.np;
   const std::size_t words = env.words;
   const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
+  const RunStats stats = env.pool->run_job(np, [&](Comm& comm) {
     for (int i = 0; i < rounds; ++i) {
       std::vector<std::uint64_t> block;
       std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
@@ -338,7 +338,7 @@ PatternResult pipeline_copying(const PatternEnv& env) {
   const int np = env.np;
   const std::size_t words = env.words;
   const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
+  const RunStats stats = env.pool->run_job(np, [&](Comm& comm) {
     const int r = comm.rank();
     const std::vector<std::uint64_t> payload(words, 3);
     for (int i = 0; i < rounds; ++i) {
@@ -358,7 +358,7 @@ PatternResult pipeline_move(const PatternEnv& env) {
   const int np = env.np;
   const std::size_t words = env.words;
   const int rounds = env.rounds;
-  const RunStats stats = run(np, [&](Comm& comm) {
+  const RunStats stats = env.pool->run_job(np, [&](Comm& comm) {
     const int r = comm.rank();
     for (int i = 0; i < rounds; ++i) {
       if (r > 0) {
@@ -433,13 +433,15 @@ void run_pattern_suite() {
   const std::string json_path = bench::bench_json_path("BENCH_comm.json");
 
   using PatternFn = PatternResult (*)(const PatternEnv&);
-  const PatternFn patterns[] = {broadcast_copying, broadcast_view,
-                                scatter_copying,   scatter_view,
-                                pipeline_copying,  pipeline_move};
+  const PatternFn patterns[] = {broadcast_copying, scatter_copying,
+                                scatter_view,      pipeline_copying,
+                                pipeline_move};
 
+  WorkerPool pool;
   std::vector<PatternResult> results;
   for (const TransportSpec& spec : transport_sweep(np)) {
     PatternEnv env;
+    env.pool = &pool;
     env.options.transport = spec;
     env.transport = transport_kind_name(spec.kind);
     env.np = np;

@@ -16,8 +16,8 @@
 // Timing-source audit (all timing sites, none use system_clock): every
 // harness interval is a util/timer.hpp WallTimer (steady_clock — immune to
 // wall-clock adjustment) and per-rank busy time is ThreadCpuTimer
-// (CLOCK_THREAD_CPUTIME_ID) inside comm::run. The observability layer's
-// span tracer and wait timers are likewise steady_clock-based.
+// (CLOCK_THREAD_CPUTIME_ID) inside WorkerPool::run_job. The observability
+// layer's span tracer and wait timers are likewise steady_clock-based.
 //
 // Observability: PARDA_METRICS_OUT=FILE and/or PARDA_TRACE_SPANS=FILE
 // enable the obs layer for the bench process and dump a parda.metrics.v1

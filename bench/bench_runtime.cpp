@@ -1,5 +1,5 @@
 // Runtime ablation: what the persistent executor actually buys. Measures
-// cold-spawn (a fresh WorkerPool per analysis — the historical comm::run
+// cold-spawn (a fresh WorkerPool per analysis — the one-shot spawn/join
 // shape) against warm-pool (one PardaRuntime reused across analyses) for
 // empty jobs and small-trace end-to-end analyses at np ∈ {2, 4, 8}, and
 // writes the comparison to BENCH_runtime.json (override the path with
@@ -33,7 +33,8 @@ void BM_ColdSpawnJob(benchmark::State& state) {
   // Fresh pool per job: thread spawn + World build + join every time.
   const auto np = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    comm::run(np, [](comm::Comm&) {});
+    comm::WorkerPool pool(np);
+    pool.run_job(np, [](comm::Comm&) {});
   }
 }
 

@@ -40,12 +40,8 @@
 #include "core/runtime.hpp"
 #include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
-#include "seq/interval_analyzer.hpp"
 #include "seq/lru_chain.hpp"
-#include "seq/naive.hpp"
 #include "seq/olken.hpp"
-#include "tree/avl_tree.hpp"
-#include "tree/treap.hpp"
 #include "hist/mrc.hpp"
 #include "hist/report.hpp"
 #include "obs/obs.hpp"
@@ -118,15 +114,6 @@ void check_trz_flags(const parda::CliParser& cli, const char* command,
   }
 }
 
-constexpr const char* kEngineNames =
-    "parda|lru|olken|splay|avl|treap|fenwick|interval|naive";
-
-bool is_known_engine(const std::string& e) {
-  return e == "parda" || e == "lru" || e == "olken" || e == "splay" ||
-         e == "avl" || e == "treap" || e == "fenwick" || e == "interval" ||
-         e == "naive";
-}
-
 /// Runs a whole trace through a sequential engine and publishes its
 /// structural counters under "engine.*" (when telemetry is on), mirroring
 /// what the parallel driver publishes per rank.
@@ -139,30 +126,51 @@ parda::Histogram run_seq(A analyzer, std::span<const parda::Addr> trace) {
   return h;
 }
 
-parda::Histogram run_seq_engine(const std::string& engine,
-                                std::span<const parda::Addr> trace,
-                                std::uint64_t bound) {
+parda::Histogram run_splay(std::span<const parda::Addr> trace,
+                           std::uint64_t bound) {
   using namespace parda;
-  if (engine == "lru") return run_seq(LruChainAnalyzer(bound), trace);
-  if (engine == "olken" || engine == "splay") {
-    return bound != 0 ? run_seq(BoundedAnalyzer<SplayTree>(bound), trace)
-                      : run_seq(OlkenAnalyzer<SplayTree>(), trace);
+  return bound != 0 ? run_seq(BoundedAnalyzer<SplayTree>(bound), trace)
+                    : run_seq(OlkenAnalyzer<SplayTree>(), trace);
+}
+
+/// The --engine surface: the paper's parallel driver plus the sequential
+/// engines that win a BENCH_engines.json row. `run` is null for parda,
+/// which goes through the runtime instead; bound 0 means unbounded.
+struct Engine {
+  const char* name;
+  bool bounded;  // accepts --bound
+  parda::Histogram (*run)(std::span<const parda::Addr>, std::uint64_t);
+};
+
+constexpr Engine kEngines[] = {
+    {"parda", true, nullptr},
+    {"lru", true,
+     [](std::span<const parda::Addr> trace, std::uint64_t bound) {
+       return run_seq(parda::LruChainAnalyzer(bound), trace);
+     }},
+    {"olken", true, run_splay},
+    {"splay", true, run_splay},
+    {"fenwick", false,
+     [](std::span<const parda::Addr> trace, std::uint64_t) {
+       return run_seq(parda::BennettKruskalAnalyzer(), trace);
+     }},
+};
+
+const Engine* find_engine(const std::string& name) {
+  for (const Engine& e : kEngines) {
+    if (name == e.name) return &e;
   }
-  if (engine == "avl") {
-    return bound != 0 ? run_seq(BoundedAnalyzer<AvlTree>(bound), trace)
-                      : run_seq(OlkenAnalyzer<AvlTree>(), trace);
+  return nullptr;
+}
+
+/// "parda|lru|..." for help and usage text.
+std::string engine_names() {
+  std::string out;
+  for (const Engine& e : kEngines) {
+    if (!out.empty()) out += '|';
+    out += e.name;
   }
-  if (engine == "treap") {
-    return bound != 0 ? run_seq(BoundedAnalyzer<Treap>(bound), trace)
-                      : run_seq(OlkenAnalyzer<Treap>(), trace);
-  }
-  if (bound != 0) {
-    usage_error("analyze: --engine=%s does not support --bound",
-                engine.c_str());
-  }
-  if (engine == "fenwick") return run_seq(BennettKruskalAnalyzer(), trace);
-  if (engine == "interval") return run_seq(IntervalAnalyzer(), trace);
-  return run_seq(NaiveStackAnalyzer(), trace);  // "naive"
+  return out;
 }
 
 /// Resolves the transport configuration: the --transport spec string
@@ -264,7 +272,7 @@ int run_tool(int argc, char** argv) {
   std::string out = "trace.trc";
   std::uint64_t procs = 4;
   std::uint64_t bound = 0;
-  std::string engine = "parda";
+  std::string engine = kEngines[0].name;  // the parallel driver
   bool stream = false;
   std::string ingest_text;
   std::uint64_t chunk = 1 << 16;
@@ -297,8 +305,8 @@ int run_tool(int argc, char** argv) {
   cli.add_flag("procs", &procs, "analyze: ranks");
   cli.add_flag("bound", &bound, "analyze: cache bound (0 = unbounded)");
   cli.add_flag("engine", &engine,
-               "analyze: parda (parallel, default) or a sequential engine: "
-               "lru|olken|splay|avl|treap|fenwick|interval|naive");
+               "analyze: " + engine_names() + " (parda, the parallel "
+               "driver, is the default; the rest are sequential)");
   cli.add_flag("stream", &stream,
                "analyze: stream the file through a bounded pipe");
   cli.add_flag("ingest", &ingest_text,
@@ -353,9 +361,10 @@ int run_tool(int argc, char** argv) {
                "process's rank; also $PARDA_FLIGHT_RECORDER)");
   cli.parse(argc - 1, argv + 1);
 
-  if (!is_known_engine(engine)) {
+  const Engine* const selected = find_engine(engine);
+  if (selected == nullptr) {
     usage_error("bad --engine '%s' (expected %s)", engine.c_str(),
-                kEngineNames);
+                engine_names().c_str());
   }
 
   const config::Resolved log_level = config::resolve_flag(
@@ -390,7 +399,7 @@ int run_tool(int argc, char** argv) {
     if (!rec.value.empty()) obs::flightrec_configure(rec.value, process);
     obs::flightrec_install_signal_handlers();
   }
-  if (engine != "parda" && cli.was_set("transport") &&
+  if (selected->run != nullptr && cli.was_set("transport") &&
       transport.kind != comm::TransportKind::kThreads) {
     usage_error("--transport=%s requires --engine=parda (sequential engines "
                 "run in one thread, no wire involved)",
@@ -427,7 +436,7 @@ int run_tool(int argc, char** argv) {
     }
     ingest = IngestMode::kPipe;
   }
-  if (engine != "parda" && cli.was_set("ingest")) {
+  if (selected->run != nullptr && cli.was_set("ingest")) {
     usage_error("--ingest requires --engine=parda (sequential engines load "
                 "the whole trace in memory)");
   }
@@ -476,7 +485,7 @@ int run_tool(int argc, char** argv) {
 
     if (repeat == 0) usage_error("analyze: --repeat must be positive");
     PardaResult result;
-    if (engine != "parda") {
+    if (selected->run != nullptr) {
       // Sequential engines run inline — no runtime, no workers — so the
       // streaming/serving machinery does not apply.
       if (stream) {
@@ -486,9 +495,13 @@ int run_tool(int argc, char** argv) {
       }
       if (serve_port) usage_error("analyze: --serve requires --engine=parda");
       const std::vector<Addr> trace = load(cli.positionals()[0]);
+      if (bound != 0 && !selected->bounded) {
+        usage_error("analyze: --engine=%s does not support --bound",
+                    selected->name);
+      }
       for (std::uint64_t i = 0; i < repeat; ++i) {
         const auto t0 = std::chrono::steady_clock::now();
-        result.hist = run_seq_engine(engine, trace, bound);
+        result.hist = selected->run(trace, bound);
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - t0;
         result.stats.wall_seconds = wall.count();

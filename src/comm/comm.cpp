@@ -5,7 +5,6 @@
 
 #include "comm/telemetry_channel.hpp"
 #include "comm/transport/transport.hpp"
-#include "comm/worker_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/runtime.hpp"
@@ -394,37 +393,6 @@ void Comm::apply_fault(const FaultPoint& pt) {
                            " (" + pt.describe() + ")");
 }
 
-std::vector<std::uint64_t> Comm::reduce_sum_u64(
-    std::span<const std::uint64_t> mine, int root, int tag) {
-  // Binomial-tree reduction in rank space relative to root, like a real
-  // MPI_Reduce: log2(np) rounds, each rank sends once (a zero-copy move of
-  // its accumulator).
-  note_collective();
-  const int np = size();
-  const int me = (rank_ - root + np) % np;  // virtual rank, root at 0
-  std::vector<std::uint64_t> acc(mine.begin(), mine.end());
-  for (int step = 1; step < np; step <<= 1) {
-    if ((me & step) != 0) {
-      const int dest = ((me - step) + root) % np;
-      send(dest, tag, std::move(acc));
-      return {};
-    }
-    if (me + step < np) {
-      const int src = (me + step + root) % np;
-      const std::vector<std::uint64_t> incoming = recv<std::uint64_t>(src, tag);
-      if (incoming.size() > acc.size()) acc.resize(incoming.size(), 0);
-      for (std::size_t i = 0; i < incoming.size(); ++i) acc[i] += incoming[i];
-    }
-  }
-  return acc;
-}
-
-std::vector<std::uint64_t> Comm::allreduce_sum_u64(
-    std::span<const std::uint64_t> mine, int tag) {
-  std::vector<std::uint64_t> total = reduce_sum_u64(mine, 0, tag);
-  return broadcast(std::move(total), 0, tag);
-}
-
 namespace detail {
 
 RunStats run_distributed(int np, const std::function<void(Comm&)>& fn,
@@ -478,23 +446,6 @@ RunStats run_distributed(int np, const std::function<void(Comm&)>& fn,
 }
 
 }  // namespace detail
-
-RunStats run(int np, const std::function<void(Comm&)>& fn,
-             const RunOptions& options) {
-  if (options.transport.distributed()) {
-    // One rank per process: fn runs inline on the calling thread; the
-    // worker pool has nothing to schedule.
-    return detail::run_distributed(np, fn, options);
-  }
-  // Transient runtime: spawn, run one job, join — the historical contract.
-  // Long-lived callers hold a WorkerPool (or a core PardaRuntime) instead.
-  WorkerPool pool(np);
-  return pool.run_job(np, fn, options);
-}
-
-RunStats run(int np, const std::function<void(Comm&)>& fn) {
-  return run(np, fn, RunOptions{});
-}
 
 double RunStats::max_busy() const noexcept {
   double m = 0.0;

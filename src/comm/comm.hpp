@@ -3,9 +3,12 @@
 //
 // The original Parda runs on MVAPICH over Infiniband; this repository
 // substitutes a runtime with the same programming model — ranks, two-sided
-// tagged send/recv, barrier, gather/reduce/broadcast collectives — so the
-// algorithm code reads like the paper's pseudocode (Send(x, p-1),
-// S <- Recv(p+1), reduce_sum(hist)) while running portably on a laptop.
+// tagged send/recv, barrier, and the three collectives the algorithm calls
+// (broadcast, scatterv_view, gather) — so the algorithm code reads like the
+// paper's pseudocode (Send(x, p-1), S <- Recv(p+1), reduce_sum(hist), the
+// last being core's reduce_histogram over send/recv) while running
+// portably on a laptop. Jobs start through WorkerPool::run_job
+// (comm/worker_pool.hpp).
 //
 // The data plane is selected by RunOptions::transport (comm/transport/,
 // DESIGN.md "Transports"):
@@ -26,8 +29,8 @@
 //    the matching recv<T> moves it back out, so a point-to-point transfer
 //    of an owned vector costs zero byte copies.
 //  - Collectives publish ONE refcounted immutable block (a shared buffer)
-//    and transport offset/length views of it: broadcast_view / scatterv_view
-//    hand every rank a View<T> aliasing the root's block, and the binomial
+//    and transport offset/length views of it: scatterv_view hands every
+//    rank a View<T> aliasing the root's block, and the binomial
 //    broadcast/gather trees forward payload handles, never bytes.
 //  - recv_view<T> reinterprets any payload in place when size and alignment
 //    permit, falling back to a single counted copy otherwise.
@@ -38,7 +41,7 @@
 // Failure model (see DESIGN.md section "Failure model" and comm/fault.hpp):
 // when any rank's body throws, the World poisons every mailbox and barrier
 // peer; blocked ranks wake and throw RankAbortedError naming the originating
-// rank and cause, so run() unwinds cleanly on all ranks instead of
+// rank and cause, so run_job() unwinds cleanly on all ranks instead of
 // deadlocking. recv/barrier accept optional per-op deadlines
 // (DeadlineExceededError), a stall watchdog converts an all-ranks-blocked
 // cycle into a per-rank diagnostic dump, and a seeded FaultPlan injects
@@ -236,7 +239,7 @@ struct RankStats {
                                    // or a refcount bump — never touched
 };
 
-/// Whole-run statistics returned by run().
+/// Whole-run statistics returned by WorkerPool::run_job().
 struct RunStats {
   double wall_seconds = 0.0;
   std::vector<RankStats> ranks;
@@ -600,7 +603,7 @@ class Comm {
   /// Broadcast root's buffer to all ranks; returns the buffer everywhere.
   /// Transport is a log-depth binomial tree forwarding ONE shared payload
   /// (refcount bumps, no byte copies); each rank pays a single copy-out to
-  /// materialize its owned result. Use broadcast_view to avoid even that.
+  /// materialize its owned result.
   template <Trivial T>
   std::vector<T> broadcast(std::vector<T> data, int root, int tag) {
     if (size() == 1) return data;
@@ -609,58 +612,6 @@ class Comm {
     if (rank_ == root) p = Payload::own(std::move(data));
     p = bcast_payload(std::move(p), root, tag);
     return materialize<T>(std::move(p));
-  }
-
-  /// Zero-copy broadcast: root publishes its buffer as a shared block and
-  /// every rank (root included) receives an immutable View of that single
-  /// block — no byte is copied anywhere on the threads transport. On
-  /// serializing transports this degrades gracefully: the block crosses
-  /// the wire once per tree edge and each rank's View aliases its own
-  /// private deserialized copy; same values, counted copies.
-  template <Trivial T>
-  View<T> broadcast_view(std::vector<T>&& data, int root, int tag) {
-    note_collective();
-    Payload p;
-    if (rank_ == root) p = Payload::own(std::move(data));
-    p = bcast_payload(std::move(p), root, tag);
-    return as_view<T>(std::move(p));
-  }
-
-  /// Scatters per-rank buffers from root: rank r receives pieces[r].
-  /// Only root reads `pieces` (it may be empty elsewhere); every rank
-  /// returns its own piece. The rvalue overload moves each piece into its
-  /// message (zero-copy); the const& overload copies.
-  template <Trivial T>
-  std::vector<T> scatterv(const std::vector<std::vector<T>>& pieces,
-                          int root, int tag) {
-    note_collective();
-    if (rank_ == root) {
-      PARDA_CHECK_MSG(static_cast<int>(pieces.size()) == size(),
-                      "scatterv at root got %zu pieces for %d ranks",
-                      pieces.size(), size());
-      for (int r = 0; r < size(); ++r) {
-        if (r != root) send(r, tag, pieces[static_cast<std::size_t>(r)]);
-      }
-      return pieces[static_cast<std::size_t>(rank_)];
-    }
-    return recv<T>(root, tag);
-  }
-
-  template <Trivial T>
-  std::vector<T> scatterv(std::vector<std::vector<T>>&& pieces, int root,
-                          int tag) {
-    note_collective();
-    if (rank_ == root) {
-      PARDA_CHECK_MSG(static_cast<int>(pieces.size()) == size(),
-                      "scatterv at root got %zu pieces for %d ranks",
-                      pieces.size(), size());
-      for (int r = 0; r < size(); ++r) {
-        if (r != root)
-          send(r, tag, std::move(pieces[static_cast<std::size_t>(r)]));
-      }
-      return std::move(pieces[static_cast<std::size_t>(rank_)]);
-    }
-    return recv<T>(root, tag);
   }
 
   /// The zero-copy scatter: root publishes ONE shared block and each rank
@@ -700,40 +651,6 @@ class Comm {
     return View<T>(std::move(holder),
                    std::span<const T>(base + off, static_cast<std::size_t>(cnt)));
   }
-
-  /// Gather-to-all: every rank contributes a buffer and receives all of
-  /// them. Contributions ride a zero-copy binomial gather to rank 0 and
-  /// are re-broadcast as shared views — the flattened round trip of the
-  /// naive gather+broadcast formulation (and its O(np) copies of the
-  /// concatenated buffer) is gone; each rank pays one copy-out per piece.
-  template <Trivial T>
-  std::vector<std::vector<T>> allgather(std::span<const T> mine, int tag) {
-    note_collective();
-    const int np = size();
-    std::vector<T> owned(mine.begin(), mine.end());
-    note_copied(mine.size_bytes());
-    std::vector<Payload> at_root =
-        gather_payloads(Payload::own(std::move(owned)), 0, tag);
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(np));
-    for (int r = 0; r < np; ++r) {
-      Payload p;
-      if (rank_ == 0) p = std::move(at_root[static_cast<std::size_t>(r)]);
-      p = bcast_payload(std::move(p), 0, tag);
-      out[static_cast<std::size_t>(r)] = materialize<T>(std::move(p));
-    }
-    return out;
-  }
-
-  /// Element-wise sum reduction of equal-or-ragged length u64 buffers at
-  /// root (ragged buffers are summed up to each buffer's length). Used for
-  /// the histogram reduction; returns the sum at root, empty elsewhere.
-  std::vector<std::uint64_t> reduce_sum_u64(
-      std::span<const std::uint64_t> mine, int root, int tag);
-
-  /// Allreduce: reduce_sum at rank 0 followed by a broadcast; every rank
-  /// returns the element-wise sum.
-  std::vector<std::uint64_t> allreduce_sum_u64(
-      std::span<const std::uint64_t> mine, int tag);
 
   RankStats& stats() noexcept { return stats_; }
 
@@ -951,14 +868,15 @@ class Comm {
   std::uint64_t op_counts_[3] = {0, 0, 0};  // send, recv, barrier
 };
 
-/// Runtime knobs for run(); the default reproduces the historical
-/// behavior: threads transport, wait-forever, no injection, no watchdog.
+/// Runtime knobs for WorkerPool::run_job(); the default reproduces the
+/// historical behavior: threads transport, wait-forever, no injection, no
+/// watchdog.
 struct RunOptions {
   /// Data plane selection (comm/transport/spec.hpp). The default threads
   /// spec is the historical zero-copy in-process wire; shm/tcp serialize
   /// messages through a shared-memory segment or a socket mesh, and a
   /// distributed spec (local_rank >= 0) hosts exactly one rank in this
-  /// process — see run() below.
+  /// process — see WorkerPool::run_job().
   TransportSpec transport;
   /// Default per-op deadline applied to every blocking recv/barrier (each
   /// call may override). Expiry throws DeadlineExceededError in that rank,
@@ -968,39 +886,21 @@ struct RunOptions {
   /// blocked with no progress across two consecutive samples, the watchdog
   /// dumps a per-rank diagnostic to stderr and aborts the run. The
   /// watchdog needs every rank's board in this process, so it is
-  /// incompatible with a distributed transport spec (run() rejects the
+  /// incompatible with a distributed transport spec (run_job() rejects the
   /// combination).
   std::chrono::milliseconds watchdog_interval{0};
   /// Deterministic fault injection; not owned, may be null. Must outlive
-  /// the run() call.
+  /// the run_job() call.
   const FaultPlan* fault_plan = nullptr;
 };
 
 namespace detail {
 /// One-process-per-rank execution: runs options.transport.local_rank's
 /// body inline on the calling thread against a distributed World. Called
-/// by run()/WorkerPool::run_job when the spec is distributed; the returned
+/// by WorkerPool::run_job when the spec is distributed; the returned
 /// RunStats carries real numbers only for the local rank.
 RunStats run_distributed(int np, const std::function<void(Comm&)>& fn,
                          const RunOptions& options);
 }  // namespace detail
-
-/// Runs fn(comm) on np ranks and returns run statistics. If any rank
-/// throws, the world is poisoned: every other rank blocked in recv/barrier
-/// wakes with RankAbortedError attributing the failure to the originating
-/// rank, and run() rethrows the origin's exception after all ranks have
-/// unwound. The contract holds on every transport; with a distributed spec
-/// (options.transport.local_rank >= 0) this process hosts exactly ONE
-/// rank — fn runs inline on the calling thread, the other ranks are
-/// sibling processes reached over the wire, and aborts cross as control
-/// frames.
-///
-/// Back-compat wrapper: each in-process call builds a transient WorkerPool
-/// (see comm/worker_pool.hpp), so one-shot call sites keep the historical
-/// spawn/join semantics. Code that runs many jobs should hold a WorkerPool
-/// (or a core PardaRuntime) and reuse it.
-RunStats run(int np, const std::function<void(Comm&)>& fn);
-RunStats run(int np, const std::function<void(Comm&)>& fn,
-             const RunOptions& options);
 
 }  // namespace parda::comm

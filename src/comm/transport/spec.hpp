@@ -4,7 +4,7 @@
 // transport's endpoint/segment parameters. It is a plain value: parseable
 // from one CLI/env spelling (`kind[:key=val,...]`), printable back via
 // describe(), and composed into comm::RunOptions so every entry point that
-// already takes RunOptions (run(), WorkerPool::run_job, PardaOptions)
+// takes RunOptions (WorkerPool::run_job and, through it, PardaOptions)
 // selects its transport the same way.
 //
 // Kinds:

@@ -53,12 +53,12 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Two-sample stall detection (moved here from the per-run watchdog thread
-/// that comm::run used to spawn): a stall is every rank either exited or
-/// parked in the same blocking wait across two consecutive samples — the
-/// epoch, bumped on every block entry, pins "same wait" down — with at
-/// least one rank actually blocked. A rank that made any progress between
-/// samples has a new epoch, so a busy-but-slow job never trips this.
+/// Two-sample stall detection, run on the pool's service thread: a stall
+/// is every rank either exited or parked in the same blocking wait across
+/// two consecutive samples — the epoch, bumped on every block entry, pins
+/// "same wait" down — with at least one rank actually blocked. A rank that
+/// made any progress between samples has a new epoch, so a busy-but-slow
+/// job never trips this.
 class StallDetector {
  public:
   explicit StallDetector(int np)
@@ -107,9 +107,9 @@ class Finally {
   Fn fn_;
 };
 
-/// Rethrow policy shared with the historical comm::run contract: prefer
-/// the root cause. Secondary failures are the RankAbortedErrors thrown by
-/// ranks the origin's poisoning woke up.
+/// Rethrow policy of run_job: prefer the root cause. Secondary failures
+/// are the RankAbortedErrors thrown by ranks the origin's poisoning woke
+/// up.
 void rethrow_root_cause(const std::vector<std::exception_ptr>& errors) {
   std::exception_ptr first;
   std::exception_ptr first_root;
@@ -162,10 +162,6 @@ WorkerPool::~WorkerPool() {
   }
   svc_cv_.notify_all();
   if (service_.joinable()) service_.join();
-}
-
-RunStats WorkerPool::run_job(int np, const std::function<void(Comm&)>& fn) {
-  return run_job(np, fn, RunOptions{});
 }
 
 RunStats WorkerPool::run_job(int np, const std::function<void(Comm&)>& fn,

@@ -1,11 +1,12 @@
-// Persistent executor runtime for the comm layer.
+// Persistent executor runtime for the comm layer, and the one way to start
+// a rank job.
 //
-// Historically every comm::run(np, fn) spawned np OS threads, built a fresh
-// World (mailboxes, barrier peers, rank boards), joined everything at the
-// end, and threw it all away — so repeated analyses (bench loops, online
-// monitoring windows, many small traces) paid thread-creation and
-// allocation churn on every call. WorkerPool extracts the thread lifecycle
-// into a reusable runtime:
+// A one-shot runner would spawn np OS threads, build a fresh World
+// (mailboxes, barrier peers, rank boards), join everything at the end, and
+// throw it all away — so repeated analyses (bench loops, online monitoring
+// windows, many small traces) would pay thread-creation and allocation
+// churn on every call. WorkerPool keeps the thread lifecycle in a reusable
+// runtime:
 //
 //  - Worker threads are spawned once (growing on demand up to the largest
 //    np ever requested) and PARK between jobs on a futex-style
@@ -28,13 +29,10 @@
 //    thread per run.
 //
 // Failure isolation: an abort (a rank body throwing, a watchdog firing, a
-// deadline expiring) fails the JOB — run_job rethrows the root cause
-// exactly like comm::run always did — and the pool stays healthy: the
-// poisoned World is reset on the next admission and the workers are
-// already parked waiting for it.
-//
-// comm::run(np, fn) remains as a thin back-compat wrapper that builds a
-// transient pool, so the one-shot call sites keep their exact semantics.
+// deadline expiring) fails the JOB — run_job rethrows the root cause —
+// and the pool stays healthy: the poisoned World is reset on the next
+// admission and the workers are already parked waiting for it. A one-shot
+// caller simply holds a WorkerPool for the duration of one job.
 //
 // Observability (enabled like all obs instrumentation): runtime.jobs,
 // runtime.worlds_created / runtime.world_reuses, runtime.workers_spawned,
@@ -66,14 +64,22 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Runs fn(comm) on np ranks and blocks until the job completes,
-  /// returning the same RunStats as comm::run. Thread-safe: concurrent
-  /// callers queue FIFO and time-multiplex the pool. If any rank throws,
-  /// the job's World is poisoned and run_job rethrows the root cause after
-  /// every participating rank has unwound — the pool itself stays usable.
-  RunStats run_job(int np, const std::function<void(Comm&)>& fn);
+  /// Runs fn(comm) on np ranks, blocks until the job completes, and
+  /// returns its RunStats. Thread-safe: concurrent callers queue FIFO and
+  /// time-multiplex the pool.
+  ///
+  /// If any rank throws, the job's World is poisoned: every other rank
+  /// blocked in recv/barrier wakes with RankAbortedError attributing the
+  /// failure to the originating rank, and run_job rethrows the origin's
+  /// exception after every participating rank has unwound — the pool
+  /// itself stays usable. The contract holds on every transport.
+  ///
+  /// With a distributed spec (options.transport.local_rank >= 0) this
+  /// process hosts exactly ONE rank: fn runs inline on the calling thread,
+  /// the other ranks are sibling processes reached over the wire, aborts
+  /// cross as control frames, and the pool's workers are not used.
   RunStats run_job(int np, const std::function<void(Comm&)>& fn,
-                   const RunOptions& options);
+                   const RunOptions& options = {});
 
   /// Worker threads currently alive (monotone; excludes the service
   /// thread).

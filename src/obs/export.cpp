@@ -149,144 +149,27 @@ LabeledName split_name(std::string_view name) {
   return out;
 }
 
-}  // namespace
-
-std::string to_prometheus(const Registry& reg, const SpanTracer& tracer) {
-  std::string out;
-  out.reserve(1 << 14);
-
-  // Metrics whose names carry a label block share a Prometheus family with
-  // every other label set of the same base name, and the exposition format
-  // allows exactly one HELP/TYPE per family — so each kind groups by
-  // family first and emits the header once.
-  std::map<std::string,
-           std::vector<std::pair<const Counter*, LabeledName>>>
-      counter_fams;
-  for (const Counter* c : reg.counters()) {
-    LabeledName ln = split_name(c->name());
-    counter_fams[prom_name(ln.base) + "_total"].emplace_back(c,
-                                                             std::move(ln));
-  }
-  for (const auto& [fam, members] : counter_fams) {
-    header(out, fam,
-           "Parda counter " + members.front().second.base +
-               " (rank=\"driver\" is the unattributed shard)",
-           "counter");
-    for (const auto& [c, ln] : members) {
-      const auto shards = c->shards();
-      std::array<bool, kShards> active{};
-      for (std::size_t i = 0; i < shards.size(); ++i) {
-        active[i] = shards[i] != 0;
-      }
-      per_rank_samples(out, fam, ln.labels, shards, active);
-    }
-  }
-
-  std::map<std::string, std::vector<std::pair<const Gauge*, LabeledName>>>
-      gauge_fams;
-  for (const Gauge* g : reg.gauges()) {
-    LabeledName ln = split_name(g->name());
-    gauge_fams[prom_name(ln.base)].emplace_back(g, std::move(ln));
-  }
-  for (const auto& [fam, members] : gauge_fams) {
-    header(out, fam,
-           "Parda gauge " + members.front().second.base +
-               " (last value published per rank)",
-           "gauge");
-    for (const auto& [g, ln] : members) {
-      const auto maxes = g->shards();
-      const auto values = g->values();
-      std::array<bool, kShards> active{};
-      for (std::size_t i = 0; i < maxes.size(); ++i) {
-        active[i] = maxes[i] != 0;
-      }
-      per_rank_samples(out, fam, ln.labels, values, active);
-    }
-    const std::string fam_max = fam + "_max";
-    header(out, fam_max,
-           "Parda gauge " + members.front().second.base +
-               " lifetime high-water mark per rank",
-           "gauge");
-    for (const auto& [g, ln] : members) {
-      const auto maxes = g->shards();
-      std::array<bool, kShards> active{};
-      for (std::size_t i = 0; i < maxes.size(); ++i) {
-        active[i] = maxes[i] != 0;
-      }
-      per_rank_samples(out, fam_max, ln.labels, maxes, active);
-    }
-  }
-
-  std::map<std::string,
-           std::vector<std::pair<const TimerHistogram*, LabeledName>>>
-      timer_fams;
-  for (const TimerHistogram* t : reg.timers()) {
-    LabeledName ln = split_name(t->name());
-    timer_fams[prom_name(ln.base) + "_ns"].emplace_back(t, std::move(ln));
-  }
-  for (const auto& [fam, members] : timer_fams) {
-    header(out, fam,
-           "Parda timer " + members.front().second.base +
-               " in nanoseconds (log2 buckets, aggregated across ranks)",
-           "histogram");
-    for (const auto& [t, ln] : members) {
-      const std::string extra =
-          ln.labels.empty() ? std::string() : ln.labels + ',';
-      const TimerHistogram::Aggregate agg = t->aggregate();
-      std::size_t last = 0;
-      for (std::size_t b = 0; b < agg.buckets.size(); ++b) {
-        if (agg.buckets[b] != 0) last = b + 1;
-      }
-      std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < last; ++b) {
-        cum += agg.buckets[b];
-        // Bucket b holds [2^b, 2^(b+1)) ns; integer durations make
-        // le=2^(b+1)-1 the exact inclusive upper bound.
-        const std::uint64_t le = (std::uint64_t{1} << (b + 1)) - 1;
-        sample_u64(out, fam + "_bucket",
-                   "{" + extra + "le=\"" + std::to_string(le) + "\"}", cum);
-      }
-      sample_u64(out, fam + "_bucket", "{" + extra + "le=\"+Inf\"}",
-                 agg.count);
-      sample_u64(out, fam + "_sum",
-                 ln.labels.empty() ? "" : "{" + ln.labels + "}", agg.sum_ns);
-      sample_u64(out, fam + "_count",
-                 ln.labels.empty() ? "" : "{" + ln.labels + "}", agg.count);
-    }
-  }
-
-  {
-    const std::string fam = "parda_obs_spans_dropped_total";
-    header(out, fam,
-           "Span ring overwrites per rank shard (nonzero means the oldest "
-           "spans were lost to wrap-around)",
-           "counter");
-    const auto dropped = tracer.dropped_per_shard();
-    std::array<bool, kShards> active{};
-    for (std::size_t i = 0; i < dropped.size(); ++i) {
-      active[i] = dropped[i] != 0;
-    }
-    per_rank_samples(out, fam, "", dropped, active);
-  }
-
-  return out;
-}
-
-std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
-                          const TelemetryHub& hub) {
-  if (hub.empty()) return to_prometheus(reg, tracer);
-  const std::vector<ProcessTelemetry> remotes = hub.snapshot();
-
+/// The one exposition body. Local metrics render as process 0; with no
+/// remote process in `remotes` the samples carry no process label and the
+/// per-process freshness families are left out, which is the
+/// single-process exposition.
+std::string render_prometheus(const Registry& reg, const SpanTracer& tracer,
+                              const std::vector<ProcessTelemetry>& remotes) {
+  const bool fleet = !remotes.empty();
   std::string out;
   out.reserve(1 << 15);
 
-  auto with_process = [](const std::string& labels, int process) {
+  auto with_process = [fleet](const std::string& labels, int process) {
+    if (!fleet) return labels;
     std::string extra = "process=\"" + std::to_string(process) + "\"";
     if (!labels.empty()) {
       extra += ',';
       extra += labels;
     }
     return extra;
+  };
+  auto process_labels = [](int process) {
+    return "{process=\"" + std::to_string(process) + "\"}";
   };
   auto active_mask = [](const std::vector<std::uint64_t>& shards) {
     std::vector<bool> active(shards.size());
@@ -296,9 +179,11 @@ std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
     return active;
   };
 
-  // Counters: local (process="0") and every remote process share one
-  // family block per base name — the exposition format allows exactly one
-  // HELP/TYPE per family.
+  // Metrics whose names carry a label block share a Prometheus family with
+  // every other label set of the same base name, and local (process 0)
+  // and remote samples of one base name share it too — the exposition
+  // format allows exactly one HELP/TYPE per family — so each kind groups
+  // by family first and emits the header once.
   struct CounterMember {
     std::string labels;
     std::vector<std::uint64_t> shards;
@@ -413,7 +298,9 @@ std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
                " in nanoseconds (log2 buckets, aggregated across ranks)",
            "histogram");
     for (const TimerMember& m : entry.second) {
-      const std::string extra = m.labels + ',';
+      const std::string extra = m.labels.empty() ? "" : m.labels + ',';
+      const std::string own =
+          m.labels.empty() ? "" : "{" + m.labels + "}";
       std::size_t last = 0;
       for (std::size_t b = 0; b < m.buckets.size(); ++b) {
         if (m.buckets[b] != 0) last = b + 1;
@@ -421,14 +308,16 @@ std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
       std::uint64_t cum = 0;
       for (std::size_t b = 0; b < last; ++b) {
         cum += m.buckets[b];
+        // Bucket b holds [2^b, 2^(b+1)) ns; integer durations make
+        // le=2^(b+1)-1 the exact inclusive upper bound.
         const std::uint64_t le = (std::uint64_t{1} << (b + 1)) - 1;
         sample_u64(out, fam + "_bucket",
                    "{" + extra + "le=\"" + std::to_string(le) + "\"}", cum);
       }
       sample_u64(out, fam + "_bucket", "{" + extra + "le=\"+Inf\"}",
                  m.count);
-      sample_u64(out, fam + "_sum", "{" + m.labels + "}", m.sum_ns);
-      sample_u64(out, fam + "_count", "{" + m.labels + "}", m.count);
+      sample_u64(out, fam + "_sum", own, m.sum_ns);
+      sample_u64(out, fam + "_count", own, m.count);
     }
   }
 
@@ -438,26 +327,20 @@ std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
            "Span ring overwrites per rank shard (nonzero means the oldest "
            "spans were lost to wrap-around)",
            "counter");
-    const auto dropped = tracer.dropped_per_shard();
-    per_rank_samples(
-        out, fam, "process=\"0\"",
-        std::vector<std::uint64_t>(dropped.begin(), dropped.end()),
-        active_mask(
-            std::vector<std::uint64_t>(dropped.begin(), dropped.end())));
+    const auto shards = tracer.dropped_per_shard();
+    const std::vector<std::uint64_t> dropped(shards.begin(), shards.end());
+    per_rank_samples(out, fam, with_process("", 0), dropped,
+                     active_mask(dropped));
     for (const ProcessTelemetry& pt : remotes) {
       // Remote drops arrive as one total per process (the frame does not
       // break them out per shard).
-      sample_u64(out, fam,
-                 "{process=\"" + std::to_string(pt.process) + "\"}",
-                 pt.spans_dropped);
+      sample_u64(out, fam, process_labels(pt.process), pt.spans_dropped);
     }
   }
+  if (!fleet) return out;
 
   // Per-process freshness: is every process still reporting, how stale is
   // its snapshot, and how trustworthy is its clock alignment.
-  auto process_labels = [](int process) {
-    return "{process=\"" + std::to_string(process) + "\"}";
-  };
   {
     const std::string fam = "parda_telemetry_frames_total";
     header(out, fam, "Telemetry frames ingested per remote process",
@@ -521,6 +404,17 @@ std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
   }
 
   return out;
+}
+
+}  // namespace
+
+std::string to_prometheus(const Registry& reg, const SpanTracer& tracer) {
+  return render_prometheus(reg, tracer, {});
+}
+
+std::string to_prometheus(const Registry& reg, const SpanTracer& tracer,
+                          const TelemetryHub& hub) {
+  return render_prometheus(reg, tracer, hub.snapshot());
 }
 
 std::string to_prometheus() {

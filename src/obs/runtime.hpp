@@ -7,7 +7,7 @@
 // see DESIGN.md section "Observability").
 //
 // Attribution: metrics and spans are sharded by rank so per-rank breakdowns
-// need no hot-path locking. comm::run tags each rank thread via
+// need no hot-path locking. WorkerPool::run_job tags each rank thread via
 // set_thread_rank; threads outside the rank world (the driver, the trace
 // producer) record into the "unattributed" shard 0.
 #pragma once
@@ -78,8 +78,8 @@ class ScopedThreadPhase {
   unsigned prev_;
 };
 
-/// RAII rank attribution for a thread's lifetime (used by comm::run and
-/// tests).
+/// RAII rank attribution for a thread's lifetime (used by
+/// WorkerPool::run_job and tests).
 class ScopedThreadRank {
  public:
   explicit ScopedThreadRank(int rank) noexcept : prev_(detail::t_shard) {

@@ -56,7 +56,7 @@ class SpanTracer {
   /// other threads are still recording (mid-run scrapes, the distributed
   /// telemetry forwarder): each slot is guarded by a seqlock, so a span
   /// whose write is in flight is skipped rather than read torn. A
-  /// post-run call (after comm::run has joined its ranks) sees every
+  /// post-run call (after run_job has joined its ranks) sees every
   /// surviving span.
   std::vector<SpanEvent> events() const;
   std::vector<SpanEvent> events_for_rank(int rank) const;

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "comm/comm.hpp"
+#include "comm/worker_pool.hpp"
+#include "core/parda.hpp"
 #include "util/prng.hpp"
 
 namespace parda::comm {
@@ -18,9 +20,10 @@ namespace {
 TEST(CommStressTest, RandomMessageStorm) {
   // Every rank sends a deterministic pseudo-random batch to every other
   // rank; receivers verify content, order (per source/tag), and totals.
+  WorkerPool pool;
   const int np = 6;
   const int batches = 30;
-  run(np, [&](Comm& comm) {
+  pool.run_job(np, [&](Comm& comm) {
     const int me = comm.rank();
     // Phase 1: fire everything.
     for (int dest = 0; dest < np; ++dest) {
@@ -52,13 +55,14 @@ TEST(CommStressTest, RandomMessageStorm) {
 
 TEST(CommStressTest, SixtyFourRanksReduce) {
   // The paper's rank count, far above this host's core count.
-  const RunStats stats = run(64, [](Comm& comm) {
-    std::vector<std::uint64_t> mine{1};
-    const auto total =
-        comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 0, 9);
+  WorkerPool pool;
+  const RunStats stats = pool.run_job(64, [](Comm& comm) {
+    Histogram mine;
+    mine.record(static_cast<Distance>(comm.rank() % 4));
+    const Histogram total = reduce_histogram(comm, mine, 0);
     if (comm.rank() == 0) {
-      ASSERT_EQ(total.size(), 1u);
-      EXPECT_EQ(total[0], 64u);
+      EXPECT_EQ(total.total(), 64u);
+      for (Distance d = 0; d < 4; ++d) EXPECT_EQ(total.at(d), 16u);
     }
   });
   EXPECT_EQ(stats.ranks.size(), 64u);
@@ -66,8 +70,9 @@ TEST(CommStressTest, SixtyFourRanksReduce) {
 
 TEST(CommStressTest, PipelineWithRandomWorkloads) {
   // The Parda communication shape under randomized payload sizes.
+  WorkerPool pool;
   const int np = 8;
-  run(np, [&](Comm& comm) {
+  pool.run_job(np, [&](Comm& comm) {
     const int r = comm.rank();
     Xoshiro256 rng(static_cast<std::uint64_t>(r) + 99);
     std::uint64_t received_words = 0;
@@ -88,7 +93,8 @@ TEST(CommStressTest, PipelineWithRandomWorkloads) {
 }
 
 TEST(CommStressTest, CollectivesInterleavedWithPointToPoint) {
-  run(4, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(4, [](Comm& comm) {
     for (int round = 0; round < 25; ++round) {
       // Point-to-point ring...
       const int next = (comm.rank() + 1) % comm.size();
@@ -97,18 +103,22 @@ TEST(CommStressTest, CollectivesInterleavedWithPointToPoint) {
       const auto got = comm.recv<int>(prev, 40 + round);
       EXPECT_EQ(got[0], prev);
       EXPECT_EQ(got[1], round);
-      // ...then a collective on the same communicator.
-      const std::vector<std::uint64_t> one{1};
-      const auto sum = comm.allreduce_sum_u64(
-          std::span<const std::uint64_t>(one), 1000 + round);
+      // ...then collectives on the same communicator: a gather to rank 0
+      // whose sum is broadcast back out.
+      const auto all =
+          comm.gather(std::vector<std::uint64_t>{1}, 0, 1000 + round);
+      std::vector<std::uint64_t> sum{0};
+      for (const auto& piece : all) sum[0] += piece.at(0);
+      sum = comm.broadcast(std::move(sum), 0, 2000 + round);
       EXPECT_EQ(sum.at(0), 4u);
     }
   });
 }
 
 TEST(CommStressTest, ManySmallBarriers) {
+  WorkerPool pool;
   std::atomic<int> counter{0};
-  run(16, [&](Comm& comm) {
+  pool.run_job(16, [&](Comm& comm) {
     for (int i = 0; i < 100; ++i) {
       counter.fetch_add(1);
       comm.barrier();
@@ -123,9 +133,10 @@ TEST(CommStressTest, DisseminationBarrierOddRankCounts) {
   // The dissemination barrier's partner pattern (rank + 2^k mod np) only
   // degenerates to pairwise exchange at powers of two; pin the old
   // central-barrier semantics at awkward np values too.
+  WorkerPool pool;
   for (int np : {2, 3, 5, 6, 7, 12}) {
     std::atomic<int> counter{0};
-    run(np, [&, np](Comm& comm) {
+    pool.run_job(np, [&, np](Comm& comm) {
       for (int i = 0; i < 60; ++i) {
         counter.fetch_add(1);
         comm.barrier();
@@ -143,8 +154,9 @@ TEST(CommStressTest, BarriersInterleavedWithWildcardTraffic) {
   // Barrier signals and message traffic share the per-rank notification
   // machinery; hammer both at once and check nothing is lost or
   // misordered across the barrier edges.
+  WorkerPool pool;
   const int np = 5;
-  run(np, [&](Comm& comm) {
+  pool.run_job(np, [&](Comm& comm) {
     const int me = comm.rank();
     for (int round = 0; round < 40; ++round) {
       if (me != 0) {

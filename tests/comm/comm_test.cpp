@@ -7,13 +7,15 @@
 #include <vector>
 
 #include "comm/comm.hpp"
+#include "comm/worker_pool.hpp"
 
 namespace parda::comm {
 namespace {
 
 TEST(CommTest, SingleRankRuns) {
+  WorkerPool pool;
   int calls = 0;
-  const RunStats stats = run(1, [&](Comm& comm) {
+  const RunStats stats = pool.run_job(1, [&](Comm& comm) {
     EXPECT_EQ(comm.rank(), 0);
     EXPECT_EQ(comm.size(), 1);
     ++calls;
@@ -23,7 +25,8 @@ TEST(CommTest, SingleRankRuns) {
 }
 
 TEST(CommTest, PingPong) {
-  run(2, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 7, std::vector<std::uint64_t>{1, 2, 3});
       const auto back = comm.recv<std::uint64_t>(1, 8);
@@ -39,7 +42,8 @@ TEST(CommTest, PingPong) {
 }
 
 TEST(CommTest, EmptyMessage) {
-  run(2, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 1, std::vector<std::uint64_t>{});
     } else {
@@ -49,7 +53,8 @@ TEST(CommTest, EmptyMessage) {
 }
 
 TEST(CommTest, TagMatchingOutOfOrder) {
-  run(2, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, /*tag=*/1, std::vector<int>{10});
       comm.send(1, /*tag=*/2, std::vector<int>{20});
@@ -62,7 +67,8 @@ TEST(CommTest, TagMatchingOutOfOrder) {
 }
 
 TEST(CommTest, FifoPerSourceAndTag) {
-  run(2, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       for (int i = 0; i < 100; ++i) comm.send(1, 5, std::vector<int>{i});
     } else {
@@ -74,7 +80,8 @@ TEST(CommTest, FifoPerSourceAndTag) {
 }
 
 TEST(CommTest, WildcardSource) {
-  run(3, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(3, [](Comm& comm) {
     if (comm.rank() == 0) {
       bool seen1 = false;
       bool seen2 = false;
@@ -97,7 +104,8 @@ TEST(CommTest, WildcardRecvIsFifoByArrival) {
   // Arrival order is forced with barriers: rank 2's message is in the
   // mailbox strictly before rank 1's. A wildcard recv must hand them out
   // in arrival order even though they live in different source buckets.
-  run(3, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(3, [](Comm& comm) {
     if (comm.rank() == 2) comm.send(0, 9, std::vector<int>{200});
     comm.barrier();
     if (comm.rank() == 1) comm.send(0, 9, std::vector<int>{100});
@@ -115,7 +123,8 @@ TEST(CommTest, WildcardRecvIsFifoByArrival) {
 TEST(CommTest, WildcardSkipsNonMatchingTags) {
   // An earlier-arrived message with the wrong tag must not be returned by
   // a wildcard recv, and must still be receivable afterwards.
-  run(3, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(3, [](Comm& comm) {
     if (comm.rank() == 1) comm.send(0, /*tag=*/5, std::vector<int>{55});
     comm.barrier();
     if (comm.rank() == 2) comm.send(0, /*tag=*/6, std::vector<int>{66});
@@ -131,24 +140,29 @@ TEST(CommTest, WildcardSkipsNonMatchingTags) {
 }
 
 TEST(CommTest, SelfSendThroughCollectives) {
-  // broadcast and scatterv where the root is also a receiver of its own
-  // data, across every root position.
+  // broadcast and scatterv_view where the root is also a receiver of its
+  // own data, across every root position.
+  WorkerPool pool;
   const int np = 4;
   for (int root = 0; root < np; ++root) {
-    run(np, [root](Comm& comm) {
+    pool.run_job(np, [root](Comm& comm) {
       std::vector<int> data;
       if (comm.rank() == root) data = {root, -root};
       data = comm.broadcast(std::move(data), root, 50);
       EXPECT_EQ(data, (std::vector<int>{root, -root}));
 
-      std::vector<std::vector<int>> pieces;
+      std::vector<int> block;
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
       if (comm.rank() == root) {
-        pieces.resize(static_cast<std::size_t>(comm.size()));
         for (int r = 0; r < comm.size(); ++r) {
-          pieces[static_cast<std::size_t>(r)] = {r * 10};
+          block.push_back(r * 10);
+          slices.emplace_back(static_cast<std::uint64_t>(r), 1);
         }
       }
-      const auto mine = comm.scatterv(std::move(pieces), root, 51);
+      const View<int> mine = comm.scatterv_view(
+          std::move(block),
+          std::span<const std::pair<std::uint64_t, std::uint64_t>>(slices),
+          root, 51);
       ASSERT_EQ(mine.size(), 1u);
       EXPECT_EQ(mine[0], comm.rank() * 10);
     });
@@ -156,9 +170,10 @@ TEST(CommTest, SelfSendThroughCollectives) {
 }
 
 TEST(CommTest, BarrierSynchronizes) {
+  WorkerPool pool;
   std::atomic<int> before{0};
   std::atomic<int> after_ok{0};
-  run(4, [&](Comm& comm) {
+  pool.run_job(4, [&](Comm& comm) {
     (void)comm;
     before.fetch_add(1);
     comm.barrier();
@@ -168,8 +183,9 @@ TEST(CommTest, BarrierSynchronizes) {
 }
 
 TEST(CommTest, RepeatedBarriers) {
+  WorkerPool pool;
   std::atomic<int> counter{0};
-  run(3, [&](Comm& comm) {
+  pool.run_job(3, [&](Comm& comm) {
     for (int round = 0; round < 50; ++round) {
       comm.barrier();
       counter.fetch_add(1);
@@ -180,7 +196,8 @@ TEST(CommTest, RepeatedBarriers) {
 }
 
 TEST(CommTest, GatherCollectsAllRanks) {
-  run(4, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(4, [](Comm& comm) {
     const std::vector<std::uint64_t> mine{
         static_cast<std::uint64_t>(comm.rank()),
         static_cast<std::uint64_t>(comm.rank() * 2)};
@@ -199,7 +216,8 @@ TEST(CommTest, GatherCollectsAllRanks) {
 }
 
 TEST(CommTest, BroadcastReachesEveryone) {
-  run(5, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(5, [](Comm& comm) {
     std::vector<int> data;
     if (comm.rank() == 3) data = {42, 43};
     data = comm.broadcast(std::move(data), 3, 12);
@@ -209,109 +227,10 @@ TEST(CommTest, BroadcastReachesEveryone) {
   });
 }
 
-TEST(CommTest, ReduceSumU64EqualLengths) {
-  for (int np : {1, 2, 3, 4, 7, 8}) {
-    run(np, [np](Comm& comm) {
-      const std::vector<std::uint64_t> mine{
-          1, static_cast<std::uint64_t>(comm.rank())};
-      const auto total =
-          comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 0, 13);
-      if (comm.rank() == 0) {
-        ASSERT_EQ(total.size(), 2u);
-        EXPECT_EQ(total[0], static_cast<std::uint64_t>(np));
-        EXPECT_EQ(total[1],
-                  static_cast<std::uint64_t>(np) * (np - 1) / 2);
-      } else {
-        EXPECT_TRUE(total.empty());
-      }
-    });
-  }
-}
-
-TEST(CommTest, ReduceSumU64RaggedLengths) {
-  run(4, [](Comm& comm) {
-    // Rank r contributes r+1 ones.
-    const std::vector<std::uint64_t> mine(
-        static_cast<std::size_t>(comm.rank() + 1), 1);
-    const auto total =
-        comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 0, 14);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(total.size(), 4u);
-      EXPECT_EQ(total[0], 4u);  // all ranks
-      EXPECT_EQ(total[1], 3u);
-      EXPECT_EQ(total[2], 2u);
-      EXPECT_EQ(total[3], 1u);
-    }
-  });
-}
-
-TEST(CommTest, ReduceSumNonZeroRoot) {
-  run(3, [](Comm& comm) {
-    const std::vector<std::uint64_t> mine{10};
-    const auto total =
-        comm.reduce_sum_u64(std::span<const std::uint64_t>(mine), 2, 15);
-    if (comm.rank() == 2) {
-      ASSERT_EQ(total.size(), 1u);
-      EXPECT_EQ(total[0], 30u);
-    }
-  });
-}
-
-TEST(CommTest, ScattervDistributesPieces) {
-  run(4, [](Comm& comm) {
-    std::vector<std::vector<int>> pieces;
-    if (comm.rank() == 1) {
-      pieces = {{0}, {1, 11}, {2, 22, 222}, {}};
-    }
-    const std::vector<int> mine = comm.scatterv(pieces, 1, 30);
-    switch (comm.rank()) {
-      case 0:
-        EXPECT_EQ(mine, (std::vector<int>{0}));
-        break;
-      case 1:
-        EXPECT_EQ(mine, (std::vector<int>{1, 11}));
-        break;
-      case 2:
-        EXPECT_EQ(mine, (std::vector<int>{2, 22, 222}));
-        break;
-      default:
-        EXPECT_TRUE(mine.empty());
-    }
-  });
-}
-
-TEST(CommTest, AllgatherGivesEveryoneEverything) {
-  run(3, [](Comm& comm) {
-    const std::vector<std::uint64_t> mine(
-        static_cast<std::size_t>(comm.rank()) + 1,
-        static_cast<std::uint64_t>(comm.rank()));
-    const auto all =
-        comm.allgather(std::span<const std::uint64_t>(mine), 31);
-    ASSERT_EQ(all.size(), 3u);
-    for (int r = 0; r < 3; ++r) {
-      ASSERT_EQ(all[static_cast<std::size_t>(r)].size(),
-                static_cast<std::size_t>(r) + 1);
-      for (std::uint64_t v : all[static_cast<std::size_t>(r)]) {
-        EXPECT_EQ(v, static_cast<std::uint64_t>(r));
-      }
-    }
-  });
-}
-
-TEST(CommTest, AllreduceSumReachesAllRanks) {
-  run(5, [](Comm& comm) {
-    const std::vector<std::uint64_t> mine{
-        static_cast<std::uint64_t>(comm.rank()), 1};
-    const auto total = comm.allreduce_sum_u64(
-        std::span<const std::uint64_t>(mine), 32);
-    ASSERT_EQ(total.size(), 2u);
-    EXPECT_EQ(total[0], 10u);  // 0+1+2+3+4
-    EXPECT_EQ(total[1], 5u);
-  });
-}
-
 TEST(CommTest, ExceptionPropagates) {
-  EXPECT_THROW(run(2,
+  WorkerPool pool;
+  EXPECT_THROW(pool.run_job(
+                   2,
                    [](Comm& comm) {
                      if (comm.rank() == 1) {
                        throw std::runtime_error("rank 1 exploded");
@@ -321,7 +240,8 @@ TEST(CommTest, ExceptionPropagates) {
 }
 
 TEST(CommTest, StatsCountMessagesAndBytes) {
-  const RunStats stats = run(2, [](Comm& comm) {
+  WorkerPool pool;
+  const RunStats stats = pool.run_job(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 1, std::vector<std::uint64_t>(10, 0));
     } else {
@@ -337,8 +257,9 @@ TEST(CommTest, StatsCountMessagesAndBytes) {
 
 TEST(CommTest, ManyRanksPipelineStress) {
   // Chain: rank i sends to i-1, mirroring Parda's infinity pipeline.
+  WorkerPool pool;
   const int np = 8;
-  run(np, [np](Comm& comm) {
+  pool.run_job(np, [np](Comm& comm) {
     const int r = comm.rank();
     for (int round = 0; round < 20; ++round) {
       if (r < np - 1) {

@@ -11,14 +11,16 @@
 #include <vector>
 
 #include "comm/comm.hpp"
+#include "comm/worker_pool.hpp"
 
 namespace parda::comm {
 namespace {
 
 TEST(CommZeroCopyTest, MoveSendRecvPreservesStorage) {
+  WorkerPool pool;
   std::atomic<const void*> sent{nullptr};
   std::atomic<const void*> received{nullptr};
-  const RunStats stats = run(2, [&](Comm& comm) {
+  const RunStats stats = pool.run_job(2, [&](Comm& comm) {
     if (comm.rank() == 0) {
       std::vector<std::uint64_t> data(1000, 7);
       sent.store(data.data());
@@ -38,7 +40,8 @@ TEST(CommZeroCopyTest, MoveSendRecvPreservesStorage) {
 }
 
 TEST(CommZeroCopyTest, CopySendIsCountedAsCopied) {
-  const RunStats stats = run(2, [](Comm& comm) {
+  WorkerPool pool;
+  const RunStats stats = pool.run_job(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       const std::vector<std::uint64_t> data(10, 3);  // lvalue: copy path
       comm.send(1, 1, data);
@@ -52,9 +55,10 @@ TEST(CommZeroCopyTest, CopySendIsCountedAsCopied) {
 }
 
 TEST(CommZeroCopyTest, RecvViewAliasesMovedBuffer) {
+  WorkerPool pool;
   std::atomic<const void*> sent{nullptr};
   std::atomic<const void*> viewed{nullptr};
-  const RunStats stats = run(2, [&](Comm& comm) {
+  const RunStats stats = pool.run_job(2, [&](Comm& comm) {
     if (comm.rank() == 0) {
       std::vector<std::uint64_t> data(512);
       for (std::size_t i = 0; i < data.size(); ++i) data[i] = i;
@@ -71,34 +75,12 @@ TEST(CommZeroCopyTest, RecvViewAliasesMovedBuffer) {
   EXPECT_EQ(stats.total_bytes_copied(), 0u);
 }
 
-TEST(CommZeroCopyTest, BroadcastViewPublishesOneBlock) {
-  constexpr int kNp = 5;
-  std::atomic<const void*> root_block{nullptr};
-  std::atomic<int> aliased{0};
-  const RunStats stats = run(kNp, [&](Comm& comm) {
-    std::vector<std::uint64_t> data;
-    if (comm.rank() == 2) {
-      data.assign(4096, 0);
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] = i * 3;
-      root_block.store(data.data());
-    }
-    const View<std::uint64_t> v =
-        comm.broadcast_view(std::move(data), 2, 12);
-    ASSERT_EQ(v.size(), 4096u);
-    EXPECT_EQ(v[100], 300u);
-    if (v.data() == root_block.load()) aliased.fetch_add(1);
-  });
-  // Every rank (root included) reads the same physical block.
-  EXPECT_EQ(aliased.load(), kNp);
-  EXPECT_EQ(stats.total_bytes_copied(), 0u);
-  EXPECT_GT(stats.total_bytes_shared(), 0u);
-}
-
 TEST(CommZeroCopyTest, ScattervViewSlicesOneBlock) {
+  WorkerPool pool;
   constexpr int kNp = 4;
   std::atomic<const std::uint64_t*> base{nullptr};
   std::atomic<int> aliased{0};
-  const RunStats stats = run(kNp, [&](Comm& comm) {
+  const RunStats stats = pool.run_job(kNp, [&](Comm& comm) {
     std::vector<std::uint64_t> block;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
     if (comm.rank() == 1) {
@@ -137,20 +119,9 @@ TEST(CommZeroCopyTest, ScattervViewSlicesOneBlock) {
   EXPECT_EQ(stats.total_bytes_shared(), 100u * 8u - 50u * 8u);
 }
 
-TEST(CommZeroCopyTest, ScattervMoveOverloadMovesPieces) {
-  const RunStats stats = run(3, [](Comm& comm) {
-    std::vector<std::vector<int>> pieces;
-    if (comm.rank() == 0) pieces = {{1}, {2, 2}, {3, 3, 3}};
-    const std::vector<int> mine =
-        comm.scatterv(std::move(pieces), 0, 31);
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(comm.rank()) + 1);
-    EXPECT_EQ(mine[0], comm.rank() + 1);
-  });
-  EXPECT_EQ(stats.total_bytes_copied(), 0u);
-}
-
 TEST(CommZeroCopyTest, GatherOfMovedBuffersNeverCopies) {
-  const RunStats stats = run(6, [](Comm& comm) {
+  WorkerPool pool;
+  const RunStats stats = pool.run_job(6, [](Comm& comm) {
     std::vector<std::uint64_t> mine(
         static_cast<std::size_t>(comm.rank()) + 1,
         static_cast<std::uint64_t>(comm.rank()));
@@ -173,17 +144,16 @@ TEST(CommZeroCopyTest, GatherOfMovedBuffersNeverCopies) {
 }
 
 TEST(CommZeroCopyTest, ZeroLengthPayloads) {
-  run(3, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(3, [](Comm& comm) {
     // Move-send of an empty vector.
     if (comm.rank() == 0) {
       comm.send(1, 1, std::vector<std::uint64_t>{});
     } else if (comm.rank() == 1) {
       EXPECT_TRUE(comm.recv<std::uint64_t>(0, 1).empty());
     }
-    // Empty broadcast_view.
-    const View<std::uint64_t> v =
-        comm.broadcast_view(std::vector<std::uint64_t>{}, 0, 2);
-    EXPECT_TRUE(v.empty());
+    // Empty broadcast.
+    EXPECT_TRUE(comm.broadcast(std::vector<std::uint64_t>{}, 0, 2).empty());
     // scatterv_view where every slice is empty.
     std::vector<std::uint64_t> block;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
@@ -197,12 +167,10 @@ TEST(CommZeroCopyTest, ZeroLengthPayloads) {
 }
 
 TEST(CommZeroCopyTest, SingleRankCollectivesSelfDeliver) {
-  run(1, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(1, [](Comm& comm) {
     const auto b = comm.broadcast(std::vector<int>{5, 6}, 0, 1);
     EXPECT_EQ(b, (std::vector<int>{5, 6}));
-    const View<int> bv = comm.broadcast_view(std::vector<int>{7}, 0, 2);
-    ASSERT_EQ(bv.size(), 1u);
-    EXPECT_EQ(bv[0], 7);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> slices{{1, 2}};
     const View<int> sv = comm.scatterv_view(
         std::vector<int>{9, 10, 11},
@@ -219,7 +187,8 @@ TEST(CommZeroCopyTest, SingleRankCollectivesSelfDeliver) {
 TEST(CommZeroCopyTest, ViewKeepsBlockAliveAfterRootMovesOn) {
   // The root drops its handle immediately; receivers' views must keep the
   // refcounted block alive (lifetime is the refcount, not the root).
-  run(4, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(4, [](Comm& comm) {
     std::vector<std::uint64_t> block;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
     if (comm.rank() == 0) {
@@ -241,7 +210,8 @@ TEST(CommZeroCopyTest, ViewKeepsBlockAliveAfterRootMovesOn) {
 
 TEST(CommZeroCopyTest, BroadcastStillReturnsOwnedVectors) {
   // The legacy vector-returning broadcast on top of the shared transport.
-  const RunStats stats = run(8, [](Comm& comm) {
+  WorkerPool pool;
+  const RunStats stats = pool.run_job(8, [](Comm& comm) {
     std::vector<std::uint64_t> data;
     if (comm.rank() == 3) data.assign(1 << 12, 9);
     data = comm.broadcast(std::move(data), 3, 21);

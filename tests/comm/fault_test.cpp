@@ -2,9 +2,10 @@
 // barrier deadlines, the stall watchdog, and the deterministic FaultPlan.
 //
 // The acceptance bar (ISSUE 2): every fault injected by the FaultPlan
-// matrix must end the run with the injected error rethrown by run() and a
-// RankAbortedError attributed to the originating rank on every blocked
-// rank, within the deadline — zero hangs. These tests run under TSAN in CI.
+// matrix must end the run with the injected error rethrown by run_job()
+// and a RankAbortedError attributed to the originating rank on every
+// blocked rank, within the deadline — zero hangs. These tests run under
+// TSAN in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 
 #include "comm/comm.hpp"
 #include "comm/fault.hpp"
+#include "comm/worker_pool.hpp"
 #include "util/check.hpp"
 
 namespace parda::comm {
@@ -40,15 +42,17 @@ RunOptions guarded() {
 
 /// Runs `body` on np ranks under `opts` (whose plan makes rank `faulty`
 /// throw), with a trailing barrier so every surviving rank deterministically
-/// blocks until the poisoning reaches it. Asserts run() rethrows the
+/// blocks until the poisoning reaches it. Asserts run_job() rethrows the
 /// injected error and every other rank observes a RankAbortedError
 /// attributed to `faulty`.
 template <typename Body>
 void expect_attributed_abort(int np, int faulty, const RunOptions& opts,
                              Body&& body) {
+  WorkerPool pool;
   std::vector<int> observed_origin(static_cast<std::size_t>(np), -100);
   EXPECT_THROW(
-      run(np,
+      pool.run_job(
+          np,
           [&](Comm& comm) {
             try {
               body(comm);
@@ -162,26 +166,28 @@ TEST(FaultMatrixTest, ThrowDuringBarrier) {
 }
 
 TEST(FaultMatrixTest, ThrowDuringCollective) {
-  // Rank 3 dies inside the allreduce (its first collective-internal recv,
-  // the broadcast hop from its tree parent).
+  // Rank 3 dies inside the broadcast (its first collective-internal recv,
+  // the hop from its tree parent).
   const FaultPlan plan = FaultPlan::parse("rank=3,op=recv,n=0");
   RunOptions opts = guarded();
   opts.fault_plan = &plan;
   expect_attributed_abort(8, 3, opts, [](Comm& comm) {
     std::vector<std::uint64_t> mine{static_cast<std::uint64_t>(comm.rank())};
-    comm.allreduce_sum_u64(mine, 7);
+    comm.broadcast(std::move(mine), 0, 7);
   });
 }
 
 TEST(FaultMatrixTest, ScattervViewAbortReachesBlockedRanks) {
   // Root faults on its second scatter send: rank 1 already has its slice,
   // but ranks 2 and 3 are still blocked and must observe the abort.
+  WorkerPool pool;
   const FaultPlan plan = FaultPlan::parse("rank=0,op=send,n=1");
   RunOptions opts = guarded();
   opts.fault_plan = &plan;
   std::atomic<int> aborted_ranks{0};
   EXPECT_THROW(
-      run(4,
+      pool.run_job(
+          4,
           [&](Comm& comm) {
             try {
               std::vector<std::uint64_t> block;
@@ -207,11 +213,13 @@ TEST(FaultMatrixTest, ScattervViewAbortReachesBlockedRanks) {
 }
 
 TEST(FaultMatrixTest, DelayActionOnlySlowsTheRun) {
+  WorkerPool pool;
   const FaultPlan plan =
       FaultPlan::parse("rank=0,op=send,n=0,action=delay,ms=20");
   RunOptions opts = guarded();
   opts.fault_plan = &plan;
-  run(2,
+  pool.run_job(
+      2,
       [](Comm& comm) {
         if (comm.rank() == 0) {
           comm.send(1, 1, std::vector<int>{42});
@@ -227,6 +235,7 @@ TEST(FaultMatrixTest, DelayActionOnlySlowsTheRun) {
 /// require a clean attributed teardown on every rank — zero hangs. CI runs
 /// this with PARDA_FAULT_SEED set to sweep additional seeds.
 TEST(FaultMatrixTest, SeededRandomPlanAlwaysTearsDownCleanly) {
+  WorkerPool pool;
   constexpr int kNp = 4;
   std::vector<std::uint64_t> seeds;
   if (const char* env = std::getenv("PARDA_FAULT_SEED")) {
@@ -242,7 +251,8 @@ TEST(FaultMatrixTest, SeededRandomPlanAlwaysTearsDownCleanly) {
     bool threw = false;
     std::vector<int> observed(kNp, -100);
     try {
-      run(kNp,
+      pool.run_job(
+          kNp,
           [&](Comm& comm) {
             try {
               // A comm-heavy body hitting every op kind four times, so any
@@ -276,8 +286,10 @@ TEST(FaultMatrixTest, SeededRandomPlanAlwaysTearsDownCleanly) {
 // --- Deadlines. ---
 
 TEST(DeadlineTest, RecvTimesOut) {
+  WorkerPool pool;
   EXPECT_THROW(
-      run(2,
+      pool.run_job(
+          2,
           [](Comm& comm) {
             if (comm.rank() == 0) {
               // Nobody ever sends on tag 99.
@@ -288,8 +300,9 @@ TEST(DeadlineTest, RecvTimesOut) {
 }
 
 TEST(DeadlineTest, RecvTimeoutMessageNamesTheWait) {
+  WorkerPool pool;
   try {
-    run(1, [](Comm& comm) {
+    pool.run_job(1, [](Comm& comm) {
       comm.recv<int>(0, 42, nullptr, nullptr, milliseconds(10));
     });
     FAIL() << "expected DeadlineExceededError";
@@ -300,9 +313,11 @@ TEST(DeadlineTest, RecvTimeoutMessageNamesTheWait) {
 }
 
 TEST(DeadlineTest, BarrierTimesOutAndAbortsPeers) {
+  WorkerPool pool;
   std::atomic<int> peer_origin{-100};
   EXPECT_THROW(
-      run(2,
+      pool.run_job(
+          2,
           [&](Comm& comm) {
             if (comm.rank() == 0) {
               comm.barrier(milliseconds(50));  // rank 1 never arrives
@@ -320,9 +335,11 @@ TEST(DeadlineTest, BarrierTimesOutAndAbortsPeers) {
 }
 
 TEST(DeadlineTest, DefaultOpTimeoutAppliesToEveryRecv) {
+  WorkerPool pool;
   RunOptions opts;
   opts.op_timeout = milliseconds(50);
-  EXPECT_THROW(run(2,
+  EXPECT_THROW(pool.run_job(
+                   2,
                    [](Comm& comm) {
                      if (comm.rank() == 0) comm.recv<int>(1, 5);
                    },
@@ -331,7 +348,8 @@ TEST(DeadlineTest, DefaultOpTimeoutAppliesToEveryRecv) {
 }
 
 TEST(DeadlineTest, SatisfiedWaitBeatsTheDeadline) {
-  run(2, [](Comm& comm) {
+  WorkerPool pool;
+  pool.run_job(2, [](Comm& comm) {
     if (comm.rank() == 0) {
       comm.send(1, 3, std::vector<int>{1});
       comm.barrier(milliseconds(5000));
@@ -346,9 +364,11 @@ TEST(DeadlineTest, SatisfiedWaitBeatsTheDeadline) {
 // --- Plain exception propagation (no plan needed). ---
 
 TEST(AbortTest, BodyExceptionUnblocksPeersAndRethrows) {
+  WorkerPool pool;
   std::vector<int> observed(3, -100);
   EXPECT_THROW(
-      run(3,
+      pool.run_job(
+          3,
           [&](Comm& comm) {
             if (comm.rank() == 1) {
               throw std::runtime_error("rank 1 exploded");
@@ -372,9 +392,11 @@ TEST(AbortTest, PoisoningBeatsQueuedMessages) {
   // Rank 0 queues a matching message at rank 1, then dies. Once the abort
   // has landed, popping that queued message must report the teardown, not
   // deliver the data.
+  WorkerPool pool;
   bool drained = false;
   EXPECT_THROW(
-      run(2,
+      pool.run_job(
+          2,
           [&](Comm& comm) {
             if (comm.rank() == 0) {
               comm.send(1, 1, std::vector<int>{7});
@@ -405,11 +427,13 @@ TEST(AbortTest, PoisoningBeatsQueuedMessages) {
 // --- Watchdog. ---
 
 TEST(WatchdogTest, FiresOnHandcraftedRecvCycle) {
+  WorkerPool pool;
   RunOptions opts;
   opts.watchdog_interval = milliseconds(30);
   std::vector<int> observed(2, -100);
   try {
-    run(2,
+    pool.run_job(
+        2,
         [&](Comm& comm) {
           try {
             // Classic deadlock: each rank waits for the other's message.
@@ -441,9 +465,11 @@ TEST(WatchdogTest, FiresOnHandcraftedRecvCycle) {
 TEST(WatchdogTest, FiresOnBarrierMinusOne) {
   // np-1 ranks reach the barrier; one is parked in a recv that can never
   // complete. All blocked, no progress -> watchdog.
+  WorkerPool pool;
   RunOptions opts;
   opts.watchdog_interval = milliseconds(30);
-  EXPECT_THROW(run(3,
+  EXPECT_THROW(pool.run_job(
+                   3,
                    [](Comm& comm) {
                      if (comm.rank() == 2) {
                        comm.recv<int>(0, 77);
@@ -458,9 +484,11 @@ TEST(WatchdogTest, FiresOnBarrierMinusOne) {
 TEST(WatchdogTest, IgnoresExitedRanks) {
   // Rank 0 exits immediately; rank 1 deadlocks on it. "All blocked or
   // exited" must still count as a stall.
+  WorkerPool pool;
   RunOptions opts;
   opts.watchdog_interval = milliseconds(30);
-  EXPECT_THROW(run(2,
+  EXPECT_THROW(pool.run_job(
+                   2,
                    [](Comm& comm) {
                      if (comm.rank() == 1) comm.recv<int>(0, 5);
                    },
@@ -469,12 +497,14 @@ TEST(WatchdogTest, IgnoresExitedRanks) {
 }
 
 TEST(WatchdogTest, DoesNotFireOnAProgressingRun) {
+  WorkerPool pool;
   RunOptions opts;
   opts.watchdog_interval = milliseconds(50);
   // A pipeline that keeps making progress across several sampling
   // intervals must not trip the watchdog: every block entry bumps the
   // rank's epoch, so "slow but moving" never reads as stalled.
-  run(2,
+  pool.run_job(
+      2,
       [](Comm& comm) {
         for (int i = 0; i < 20; ++i) {
           if (comm.rank() == 0) {

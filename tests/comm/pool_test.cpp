@@ -14,8 +14,8 @@
 namespace parda::comm {
 namespace {
 
-// A small allreduce-ish body used to check that a job on the pool behaves
-// exactly like comm::run: every rank contributes its rank+1, rank 0 sums.
+// A small allreduce-ish body used to check that repeated jobs on one pool
+// compute the right answer: every rank contributes its rank+1, rank 0 sums.
 std::uint64_t gather_sum(WorkerPool& pool, int np) {
   std::uint64_t sum = 0;
   pool.run_job(np, [&](Comm& comm) {
@@ -179,18 +179,6 @@ TEST(WorkerPoolTest, ConcurrentSubmittersSerializeFifo) {
   for (const std::uint64_t sum : sums) EXPECT_EQ(sum, kJobsEach);
   EXPECT_EQ(pool.jobs_run(),
             static_cast<std::uint64_t>(kSubmitters) * kJobsEach + 1);
-}
-
-TEST(WorkerPoolTest, BackCompatRunStillWorks) {
-  // comm::run is now a wrapper over a transient pool; the contract is
-  // byte-identical for callers.
-  int calls = 0;
-  const RunStats stats = run(2, [&](Comm& comm) {
-    if (comm.rank() == 0) ++calls;
-    comm.barrier();
-  });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(stats.ranks.size(), 2u);
 }
 
 }  // namespace

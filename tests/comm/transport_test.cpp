@@ -236,9 +236,10 @@ TEST(FrameReaderTest, ReassemblesFramesAcrossArbitraryFragmentation) {
 // --- Comm semantics over every wire ----------------------------------------
 
 TEST(CrossTransportTest, PointToPointSemanticsHoldOnEveryWire) {
+  WorkerPool pool;
   for (const char* wire : kWires) {
     SCOPED_TRACE(wire);
-    run(
+    pool.run_job(
         3,
         [](Comm& comm) {
           // Ping-pong + out-of-order tags + wildcard source, the core of
@@ -271,10 +272,11 @@ TEST(CrossTransportTest, PointToPointSemanticsHoldOnEveryWire) {
 }
 
 TEST(CrossTransportTest, BarriersSynchronizeOnEveryWire) {
+  WorkerPool pool;
   for (const char* wire : kWires) {
     SCOPED_TRACE(wire);
     std::atomic<int> phase{0};
-    run(
+    pool.run_job(
         4,
         [&](Comm& comm) {
           for (int round = 0; round < 5; ++round) {
@@ -292,10 +294,11 @@ TEST(CrossTransportTest, BarriersSynchronizeOnEveryWire) {
 }
 
 TEST(CrossTransportTest, ByteAccountingIsHonestPerWire) {
+  WorkerPool pool;
   const std::vector<std::uint64_t> block(1024, 7);
   for (const char* wire : kWires) {
     SCOPED_TRACE(wire);
-    const RunStats stats = run(
+    const RunStats stats = pool.run_job(
         2,
         [&](Comm& comm) {
           if (comm.rank() == 0) {
@@ -321,23 +324,29 @@ TEST(CrossTransportTest, ByteAccountingIsHonestPerWire) {
 }
 
 TEST(CrossTransportTest, SharedViewsDegradeToCopiesOffThreads) {
-  // broadcast_view hands out refcounted views on the threads wire and
+  // scatterv_view hands out refcounted views on the threads wire and
   // falls back to per-receiver copies on serializing wires — same values
   // either way (the graceful-degradation half of the view contract).
+  WorkerPool pool;
   for (const char* wire : kWires) {
     SCOPED_TRACE(wire);
-    run(
+    pool.run_job(
         3,
         [](Comm& comm) {
           std::vector<std::uint64_t> root_data;
+          std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
           if (comm.rank() == 0) {
             root_data.assign(512, 0);
             for (std::size_t i = 0; i < root_data.size(); ++i) {
               root_data[i] = i * 3 + 1;
             }
+            slices.assign(3, {0, 512});  // every rank views the whole block
           }
-          const View<std::uint64_t> view =
-              comm.broadcast_view(std::move(root_data), 0, 9);
+          const View<std::uint64_t> view = comm.scatterv_view(
+              std::move(root_data),
+              std::span<const std::pair<std::uint64_t, std::uint64_t>>(
+                  slices),
+              0, 9);
           ASSERT_EQ(view.span().size(), 512u);
           EXPECT_EQ(view.span()[0], 1u);
           EXPECT_EQ(view.span()[511], 511u * 3 + 1);
@@ -414,14 +423,16 @@ TEST(CrossTransportEqualityTest, StreamedHistogramsAreBitIdentical) {
 // --- Fault equivalence: aborts and deadlines per wire -----------------------
 
 /// Mirror of fault_test's harness: run `body` under `opts` with rank
-/// `faulty` set up to throw, assert run() rethrows the injected error and
+/// `faulty` set up to throw, assert run_job() rethrows the injected error and
 /// every surviving rank sees a RankAbortedError attributed to `faulty`.
 template <typename Body>
 void expect_attributed_abort(int np, int faulty, const RunOptions& opts,
                              Body&& body) {
+  WorkerPool pool;
   std::vector<int> observed_origin(static_cast<std::size_t>(np), -100);
   EXPECT_THROW(
-      run(np,
+      pool.run_job(
+          np,
           [&](Comm& comm) {
             try {
               body(comm);
@@ -477,12 +488,13 @@ TEST(CrossTransportFaultTest, AbortAttributionIsIdenticalOnEveryWire) {
 }
 
 TEST(CrossTransportFaultTest, RecvDeadlineFiresOnEveryWire) {
+  WorkerPool pool;
   for (const char* wire : kWires) {
     SCOPED_TRACE(wire);
     RunOptions opts = on_wire(wire);
     opts.op_timeout = milliseconds(200);
     EXPECT_THROW(
-        run(
+        pool.run_job(
             2,
             [](Comm& comm) {
               if (comm.rank() == 0) {
@@ -497,13 +509,14 @@ TEST(CrossTransportFaultTest, RecvDeadlineFiresOnEveryWire) {
 TEST(CrossTransportFaultTest, WatchdogFiresOnRecvCycleOnEveryWire) {
   // The classic two-rank recv deadlock: only the stall watchdog can end
   // it, and it must attribute the abort to kWatchdogOrigin on every wire.
+  WorkerPool pool;
   for (const char* wire : kWires) {
     SCOPED_TRACE(wire);
     RunOptions opts = on_wire(wire);
     opts.op_timeout = {};  // no per-op deadline: only the watchdog can fire
     opts.watchdog_interval = milliseconds(50);
     try {
-      run(
+      pool.run_job(
           2, [](Comm& comm) { comm.recv<int>(1 - comm.rank(), 0); }, opts);
       FAIL() << "expected the watchdog to abort the deadlocked run";
     } catch (const RankAbortedError& e) {

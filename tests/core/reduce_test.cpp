@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "comm/comm.hpp"
+#include "comm/worker_pool.hpp"
 #include "core/parda.hpp"
 #include "util/prng.hpp"
 
@@ -23,8 +24,9 @@ Histogram rank_histogram(int rank) {
 class ReduceHistogramTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReduceHistogramTest, SumsAcrossAllRanks) {
+  comm::WorkerPool pool;
   const int np = GetParam();
-  comm::run(np, [np](comm::Comm& comm) {
+  pool.run_job(np, [np](comm::Comm& comm) {
     const Histogram mine = rank_histogram(comm.rank());
     const Histogram total = reduce_histogram(comm, mine, 0);
     if (comm.rank() == 0) {
@@ -47,7 +49,8 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, ReduceHistogramTest,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16));
 
 TEST(ReduceHistogramTest, NonZeroRoot) {
-  comm::run(6, [](comm::Comm& comm) {
+  comm::WorkerPool pool;
+  pool.run_job(6, [](comm::Comm& comm) {
     const Histogram mine = rank_histogram(comm.rank());
     const Histogram total = reduce_histogram(comm, mine, 4);
     if (comm.rank() == 4) {
@@ -59,7 +62,8 @@ TEST(ReduceHistogramTest, NonZeroRoot) {
 }
 
 TEST(ReduceHistogramTest, EmptyHistograms) {
-  comm::run(4, [](comm::Comm& comm) {
+  comm::WorkerPool pool;
+  pool.run_job(4, [](comm::Comm& comm) {
     const Histogram total = reduce_histogram(comm, Histogram{}, 0);
     if (comm.rank() == 0) EXPECT_EQ(total.total(), 0u);
   });
@@ -68,7 +72,8 @@ TEST(ReduceHistogramTest, EmptyHistograms) {
 TEST(ReduceHistogramTest, RaggedShapes) {
   // Rank 0 has a huge max distance, others tiny: the tree merge must
   // handle mismatched dense-array lengths in both directions.
-  comm::run(3, [](comm::Comm& comm) {
+  comm::WorkerPool pool;
+  pool.run_job(3, [](comm::Comm& comm) {
     Histogram mine;
     if (comm.rank() == 0) {
       mine.record(100000, 1);
@@ -87,6 +92,7 @@ TEST(ReduceHistogramTest, RaggedShapes) {
 
 TEST(ReduceHistogramTest, MatchesSerialMerge) {
   // Randomized: reduction result == folding merge() serially.
+  comm::WorkerPool pool;
   Xoshiro256 rng(321);
   for (int round = 0; round < 5; ++round) {
     const int np = 2 + static_cast<int>(rng.below(7));
@@ -100,7 +106,7 @@ TEST(ReduceHistogramTest, MatchesSerialMerge) {
       h.record(kInfiniteDistance, rng.below(4));
       expected.merge(h);
     }
-    comm::run(np, [&](comm::Comm& comm) {
+    pool.run_job(np, [&](comm::Comm& comm) {
       const Histogram total = reduce_histogram(
           comm, inputs[static_cast<std::size_t>(comm.rank())], 0);
       if (comm.rank() == 0) EXPECT_TRUE(total == expected);

@@ -212,6 +212,79 @@ TEST(PrometheusExport, RendersAndValidates) {
       << "validator rejected our own exposition: " << problems[0];
 }
 
+TEST(PrometheusExport, SingleProcessTextIsPinned) {
+  // The exact single-process exposition for a fixed registry: labeled and
+  // unlabeled counters sharing a family, gauges with their _max twin,
+  // timers with and without labels, and per-shard dropped spans.
+  ScopedEnable on;
+  Registry reg;
+  SpanTracer spans(16);
+
+  reg.counter("golden.refs").add_for_rank(0, 7);
+  reg.counter("golden.refs{tenant=alice}").add_for_rank(2, 3);
+  reg.counter("golden.idle");
+  Gauge& depth = reg.gauge("golden.depth");
+  depth.set_for_rank(1, 9);
+  depth.set_for_rank(1, 4);
+  reg.gauge("golden.depth{tenant=bob}").set_for_rank(0, 2);
+  TimerHistogram& wait = reg.timer("golden.wait");
+  wait.record_ns(1);
+  wait.record_ns(5);
+  wait.record_ns(6);
+  reg.timer("golden.wait{op=\"recv\"}").record_ns(3);
+  {
+    ScopedThreadRank as_rank(1);
+    for (int i = 0; i < 19; ++i) spans.record(i, i + 1, "analyze", 0);
+  }
+
+  const std::string expected =
+      "# HELP parda_golden_idle_total Parda counter golden.idle "
+      "(rank=\"driver\" is the unattributed shard)\n"
+      "# TYPE parda_golden_idle_total counter\n"
+      "parda_golden_idle_total{rank=\"driver\"} 0\n"
+      "# HELP parda_golden_refs_total Parda counter golden.refs "
+      "(rank=\"driver\" is the unattributed shard)\n"
+      "# TYPE parda_golden_refs_total counter\n"
+      "parda_golden_refs_total{rank=\"driver\"} 0\n"
+      "parda_golden_refs_total{rank=\"0\"} 7\n"
+      "parda_golden_refs_total{tenant=\"alice\",rank=\"driver\"} 0\n"
+      "parda_golden_refs_total{tenant=\"alice\",rank=\"2\"} 3\n"
+      "# HELP parda_golden_depth Parda gauge golden.depth "
+      "(last value published per rank)\n"
+      "# TYPE parda_golden_depth gauge\n"
+      "parda_golden_depth{rank=\"driver\"} 0\n"
+      "parda_golden_depth{rank=\"1\"} 4\n"
+      "parda_golden_depth{tenant=\"bob\",rank=\"driver\"} 0\n"
+      "parda_golden_depth{tenant=\"bob\",rank=\"0\"} 2\n"
+      "# HELP parda_golden_depth_max Parda gauge golden.depth "
+      "lifetime high-water mark per rank\n"
+      "# TYPE parda_golden_depth_max gauge\n"
+      "parda_golden_depth_max{rank=\"driver\"} 0\n"
+      "parda_golden_depth_max{rank=\"1\"} 9\n"
+      "parda_golden_depth_max{tenant=\"bob\",rank=\"driver\"} 0\n"
+      "parda_golden_depth_max{tenant=\"bob\",rank=\"0\"} 2\n"
+      "# HELP parda_golden_wait_ns Parda timer golden.wait in nanoseconds "
+      "(log2 buckets, aggregated across ranks)\n"
+      "# TYPE parda_golden_wait_ns histogram\n"
+      "parda_golden_wait_ns_bucket{le=\"1\"} 1\n"
+      "parda_golden_wait_ns_bucket{le=\"3\"} 1\n"
+      "parda_golden_wait_ns_bucket{le=\"7\"} 3\n"
+      "parda_golden_wait_ns_bucket{le=\"+Inf\"} 3\n"
+      "parda_golden_wait_ns_sum 12\n"
+      "parda_golden_wait_ns_count 3\n"
+      "parda_golden_wait_ns_bucket{op=\"\\\"recv\\\"\",le=\"1\"} 0\n"
+      "parda_golden_wait_ns_bucket{op=\"\\\"recv\\\"\",le=\"3\"} 1\n"
+      "parda_golden_wait_ns_bucket{op=\"\\\"recv\\\"\",le=\"+Inf\"} 1\n"
+      "parda_golden_wait_ns_sum{op=\"\\\"recv\\\"\"} 3\n"
+      "parda_golden_wait_ns_count{op=\"\\\"recv\\\"\"} 1\n"
+      "# HELP parda_obs_spans_dropped_total Span ring overwrites per rank "
+      "shard (nonzero means the oldest spans were lost to wrap-around)\n"
+      "# TYPE parda_obs_spans_dropped_total counter\n"
+      "parda_obs_spans_dropped_total{rank=\"driver\"} 0\n"
+      "parda_obs_spans_dropped_total{rank=\"1\"} 3\n";
+  EXPECT_EQ(to_prometheus(reg, spans), expected);
+}
+
 TEST(PrometheusValidator, FlagsBrokenDocuments) {
   // A well-formed miniature document passes...
   EXPECT_TRUE(validate_prometheus("# HELP a_total ok\n"
