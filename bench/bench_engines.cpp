@@ -2,11 +2,12 @@
 // sequential ReuseAnalyzer head-to-head (LruChain vs Olken-splay/AVL/treap
 // vs Bennett-Kruskal's Fenwick engine vs the interval engine), each
 // measured through both the batched process_block path and the
-// per-reference loop, plus the parallel Parda driver at np=1..4. The
-// driver has one dispatch path (each rank's chunk goes through
-// RankState::process_own_block), so its rows are block=1 only;
-// core_test's RankStateTest.ProcessOwnBlockEqualsPerReferenceLoop pins
-// that path to the per-reference loop.
+// per-reference loop, plus the parallel Parda driver at np=1..4 on both
+// rank trees: parda_splay (the paper's SplayTree) and parda_fenwick (the
+// default FenwickWindow). The driver has one dispatch path (each rank's
+// chunk goes through RankState::process_own_block), so its rows are
+// block=1 only; core_test's RankStateTest.ProcessOwnBlockEqualsPerReference
+// Loop pins that path to the per-reference loop.
 //
 // Writes a parda.bench.v1 artifact (default BENCH_engines.json, override
 // with PARDA_BENCH_JSON); a point's identity is (name, np, block) — trace
@@ -41,6 +42,7 @@
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/avl_tree.hpp"
 #include "tree/treap.hpp"
 #include "util/timer.hpp"
@@ -111,10 +113,12 @@ void measure_seq(const char* name, const std::vector<Addr>& trace, int reps,
   points.push_back(make_point(name, 1, false, best(loop_secs), trace.size()));
 }
 
-/// The parallel driver on a transient pool per rep (spawn included, as a
-/// one-shot analysis pays it); the best rep is reported.
-void measure_parda(int np, const std::vector<Addr>& trace, int reps,
-                   std::vector<bench::BenchPoint>& points) {
+/// The parallel driver with rank tree Tree on a transient pool per rep
+/// (spawn included, as a one-shot analysis pays it); the best rep is
+/// reported.
+template <OrderStatTree Tree>
+void measure_parda(const char* name, int np, const std::vector<Addr>& trace,
+                   int reps, std::vector<bench::BenchPoint>& points) {
   PardaOptions options;
   options.num_procs = np;
   SpanTraceSource source(trace);
@@ -123,11 +127,11 @@ void measure_parda(int np, const std::vector<Addr>& trace, int reps,
     WallTimer timer;
     comm::WorkerPool pool(np);
     benchmark::DoNotOptimize(
-        parda_analyze(pool, source, options).hist.total());
+        parda_analyze<Tree>(pool, source, options).hist.total());
     secs.push_back(timer.seconds());
   }
-  points.push_back(make_point("parda_splay", static_cast<std::uint64_t>(np),
-                              true, best(secs), trace.size()));
+  points.push_back(make_point(name, static_cast<std::uint64_t>(np), true,
+                              best(secs), trace.size()));
 }
 
 void run_engines_suite() {
@@ -149,7 +153,8 @@ void run_engines_suite() {
   measure_seq("interval", trace, reps, points,
               [] { return IntervalAnalyzer(); });
   for (int np = 1; np <= 4; ++np) {
-    measure_parda(np, trace, reps, points);
+    measure_parda<SplayTree>("parda_splay", np, trace, reps, points);
+    measure_parda<FenwickWindow>("parda_fenwick", np, trace, reps, points);
   }
 
   std::printf("\nengines (refs=%zu, reps=%d)\n%-14s %3s %6s %12s %10s\n",
@@ -183,8 +188,7 @@ void BM_PardaEngine(benchmark::State& state) {
 }
 
 BENCHMARK_TEMPLATE(BM_PardaEngine, SplayTree)->Arg(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_PardaEngine, AvlTree)->Arg(4)->UseRealTime();
-BENCHMARK_TEMPLATE(BM_PardaEngine, Treap)->Arg(4)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_PardaEngine, FenwickWindow)->Arg(4)->UseRealTime();
 
 void BM_LruChain(benchmark::State& state) {
   const auto& trace = shared_trace();

@@ -7,6 +7,7 @@
 #include "bench_common.hpp"
 #include "core/parda.hpp"
 #include "trace/trace_pipe.hpp"
+#include "tree/splay_tree.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -45,7 +46,8 @@ double measure_parda_crit(const std::vector<Addr>& trace, int np,
       std::max<std::size_t>(1024, pipe_words / static_cast<std::size_t>(np));
   comm::WorkerPool pool(options.num_procs);
   PipeTraceSource source(pipe);
-  const PardaResult result = parda_analyze(pool, source, options);
+  // The paper's engine: every rank runs Olken's algorithm on a splay tree.
+  const PardaResult result = parda_analyze<SplayTree>(pool, source, options);
   producer.join();
   return result.stats.max_busy();
 }

@@ -20,6 +20,7 @@
 #include "hist/report.hpp"
 #include "seq/olken.hpp"
 #include "trace/trace_pipe.hpp"
+#include "tree/splay_tree.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -157,7 +158,8 @@ Row run_benchmark(const SpecProfile& profile, std::uint64_t scale,
     WallTimer t;
     comm::WorkerPool pool(options.num_procs);
     PipeTraceSource source(pipe);
-    const PardaResult result = parda_analyze(pool, source, options);
+    // The paper's engine: every rank runs Olken's algorithm on a splay tree.
+    const PardaResult result = parda_analyze<SplayTree>(pool, source, options);
     row.parda_wall = t.seconds();
     producer.join();
     // Critical path = trace production (sequential, unavoidable per the

@@ -10,7 +10,9 @@ namespace parda {
 /// One local-infinity entry: a first reference (within the producing rank's
 /// view) carrying its global timestamp, passed leftward down the rank
 /// pipeline (Algorithm 3). The same record serializes tree/hash state for
-/// the phase reduction (Algorithm 6).
+/// the phase reduction (Algorithm 6), with ts the exporting rank's local
+/// tick. No receiver reads ts: ranks key their state by local tick and
+/// rely on record order alone.
 struct InfRecord {
   Addr addr;
   Timestamp ts;

@@ -27,6 +27,7 @@
 #include "obs/span_tracer.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_pipe.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/splay_tree.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
@@ -267,19 +268,23 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
     profile.records_received += state.received_count();
 
     // --- State reduction onto virtual np-1 (Algorithm 6): the exported
-    // state moves into the message and is imported through a view.
+    // state moves into the message; the holder merges the views in
+    // virtual-rank order, which is reference order.
     {
       obs::SpanScope span("reduce", phase_no);
       const int holder_phys = phys_of(np - 1);
       if (virt != np - 1) {
         comm.send(holder_phys, kTagState, state.export_state());
       } else {
+        std::vector<comm::View<InfRecord>> views;
+        std::vector<std::span<const InfRecord>> older;
+        views.reserve(static_cast<std::size_t>(np - 1));
+        older.reserve(static_cast<std::size_t>(np - 1));
         for (int v = 0; v < np - 1; ++v) {
-          const comm::View<InfRecord> incoming =
-              comm.recv_view<InfRecord>(phys_of(v), kTagState);
-          state.import_state(incoming.span());
+          views.push_back(comm.recv_view<InfRecord>(phys_of(v), kTagState));
+          older.push_back(views.back().span());
         }
-        state.prune_to_bound();
+        state.merge_state(older);
       }
     }
 
@@ -332,7 +337,7 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
 /// The source must stay alive for the call (rank views alias its
 /// storage) and may be reused across calls; ChunkedTrzSource keeps its
 /// per-rank decode arenas warm.
-template <OrderStatTree Tree = SplayTree>
+template <OrderStatTree Tree = FenwickWindow>
 PardaResult parda_analyze(comm::WorkerPool& pool, TraceSource& source,
                           const PardaOptions& options) {
   const int np = options.num_procs;

@@ -6,6 +6,14 @@
 // logic of Algorithm 7. It is deliberately comm-agnostic so the same state
 // machine drives the offline, phased, and test harnesses.
 //
+// Keys: the tree and the AddrMap are keyed by a per-rank local tick, not by
+// the global timestamp. Every insert takes the next tick, so tick order is
+// reference order within the rank and only that order matters to
+// count_greater. With a FenwickWindow, whose memory follows the largest
+// key, a full window that is at most half live is renumbered densely from
+// 0 (the AddrMap values are rewritten with it): amortized O(1) per insert,
+// and the window stays O(resident) rather than O(chunk).
+//
 // Bounded-mode semantics (one deliberate tightening over the paper, see
 // DESIGN.md): with bound B, the final histogram is exact for all d < B and
 // every reference with true distance >= B is an infinity. The paper's
@@ -14,14 +22,15 @@
 // bounded-sequential bit-for-bit, which the property tests verify.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "core/messages.hpp"
 #include "hash/addr_map.hpp"
 #include "hist/histogram.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/order_stat_tree.hpp"
-#include "tree/splay_tree.hpp"
 #include "util/check.hpp"
 #include "util/types.hpp"
 
@@ -29,7 +38,7 @@ namespace parda {
 
 inline constexpr std::uint64_t kUnbounded = 0;
 
-template <OrderStatTree Tree = SplayTree>
+template <OrderStatTree Tree = FenwickWindow>
 class RankState {
  public:
   /// bound: kUnbounded, or the cache bound B of Algorithm 7.
@@ -42,7 +51,8 @@ class RankState {
   }
 
   /// Processes one reference of this rank's own chunk; ts is the global
-  /// trace position (Algorithm 3 / Algorithm 7 main loop).
+  /// trace position, carried only by the local-infinity record (Algorithm 3
+  /// / Algorithm 7 main loop).
   ///
   /// Bounded-mode note: the paper's Algorithm 7 emits at most B local
   /// infinities per chunk and counts later misses as infinite on the spot.
@@ -77,8 +87,7 @@ class RankState {
       // First reference in this rank's view: defer judgement, pass left.
       loc_inf_.push_back(InfRecord{z, ts});
     }
-    tree_.insert(ts, z);
-    table_.insert_or_assign(z, ts);
+    push_newest(z);
     note_resident();
   }
 
@@ -113,16 +122,14 @@ class RankState {
           // like a normal trace entry, so the tree itself accounts for
           // every suffix element and no offset applies.
           tree_.erase(*last);
-          tree_.insert(rec.ts, rec.addr);
-          table_.insert_or_assign(rec.addr, rec.ts);
+          push_newest(rec.addr);
         }
         if (bound_ != kUnbounded && d >= bound_) d = kInfiniteDistance;
         hist_.record(d);
       } else {
         loc_inf_.push_back(rec);
         if (!space_optimized_) {
-          tree_.insert(rec.ts, rec.addr);
-          table_.insert_or_assign(rec.addr, rec.ts);
+          push_newest(rec.addr);
           note_resident();
         }
       }
@@ -149,8 +156,9 @@ class RankState {
     loc_inf_.clear();
   }
 
-  /// Serializes the resident (addr, last-ts) set for the phase reduction
-  /// (Algorithm 6), leaving this rank empty.
+  /// Serializes the resident set for the phase reduction (Algorithm 6) in
+  /// ascending tick order, leaving this rank empty. Each record's ts is its
+  /// local tick; the merge relies on record order only.
   std::vector<InfRecord> export_state() {
     std::vector<InfRecord> out;
     out.reserve(tree_.size());
@@ -158,30 +166,38 @@ class RankState {
         [&](TreeEntry e) { out.push_back(InfRecord{e.addr, e.ts}); });
     tree_.clear();
     table_.clear();
+    next_tick_ = 0;
     return out;
   }
 
-  /// Merges another rank's exported state. With space optimization the
-  /// address sets are disjoint (paper Section IV-C), so no duplicate check
-  /// is needed — PARDA_DCHECK guards that claim in debug builds.
-  void import_state(std::span<const InfRecord> records) {
-    for (const InfRecord& rec : records) {
-      PARDA_DCHECK(!table_.contains(rec.addr));
-      tree_.insert(rec.ts, rec.addr);
-      table_.insert_or_assign(rec.addr, rec.ts);
-    }
+  /// Algorithm 6 at the phase holder: rebuilds this rank's state from the
+  /// other ranks' exports, given in virtual-rank order, followed by its own
+  /// entries. That concatenation is already in reference order: every
+  /// virtual rank's entries were last referenced in its chunk (or, for
+  /// virtual rank 0, before the phase), and each export is tick-ordered.
+  /// With a bound only the B newest entries are kept — anything older has
+  /// >= B distinct successors and can never be hit again. The survivors
+  /// take dense ticks from 0. With space optimization the address sets are
+  /// disjoint (paper Section IV-C), so no duplicate check is needed —
+  /// PARDA_DCHECK guards that claim in debug builds.
+  void merge_state(std::span<const std::span<const InfRecord>> older) {
+    const std::vector<InfRecord> own = export_state();
+    std::size_t total = own.size();
+    for (const auto& part : older) total += part.size();
+    std::size_t skip =
+        bound_ != kUnbounded && total > bound_ ? total - bound_ : 0;
+    table_.reserve(total - skip);
+    const auto append = [&](std::span<const InfRecord> part) {
+      const std::size_t dropped = std::min(skip, part.size());
+      skip -= dropped;
+      for (const InfRecord& rec : part.subspan(dropped)) {
+        PARDA_DCHECK(!table_.contains(rec.addr));
+        push_newest(rec.addr);
+      }
+    };
+    for (const auto& part : older) append(part);
+    append(own);
     note_resident();
-  }
-
-  /// Bounded phases: drop all but the B most-recent distinct elements —
-  /// anything older has >= B distinct successors and can never be hit again
-  /// under the bound.
-  void prune_to_bound() {
-    if (bound_ == kUnbounded) return;
-    while (tree_.size() > bound_) {
-      const TreeEntry victim = tree_.pop_oldest();
-      table_.erase(victim.addr);
-    }
   }
 
   /// Resets the per-merge-stage received counter (start of each phase).
@@ -199,6 +215,21 @@ class RankState {
   const AddrMap& table() const noexcept { return table_; }
 
  private:
+  /// Inserts z as the newest entry, under the next local tick.
+  void push_newest(Addr z) {
+    if constexpr (requires { tree_.key_capacity(); }) {
+      if (next_tick_ == tree_.key_capacity() &&
+          2 * tree_.size() <= next_tick_) {
+        next_tick_ = tree_.renumber([this](Timestamp key, Addr a) {
+          table_.insert_or_assign(a, key);
+        });
+      }
+    }
+    tree_.insert(next_tick_, z);
+    table_.insert_or_assign(z, next_tick_);
+    ++next_tick_;
+  }
+
   void note_resident() noexcept {
     if (tree_.size() > peak_resident_) peak_resident_ = tree_.size();
   }
@@ -209,6 +240,7 @@ class RankState {
   AddrMap table_;
   Histogram hist_;
   std::vector<InfRecord> loc_inf_;
+  Timestamp next_tick_ = 0;  // local key of the next insert
   std::uint64_t received_count_ = 0;  // 'count' of Algorithm 4
   std::uint64_t peak_resident_ = 0;
 };

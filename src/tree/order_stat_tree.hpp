@@ -23,10 +23,14 @@ struct TreeEntry {
   friend bool operator==(const TreeEntry&, const TreeEntry&) = default;
 };
 
-/// Concept satisfied by SplayTree, AvlTree, Treap, and VectorTree.
+/// Concept satisfied by SplayTree, AvlTree, Treap, VectorTree, and
+/// FenwickWindow (tree/fenwick.hpp).
 ///
 /// Semantics:
-///  - insert(ts, addr): ts must not already be present.
+///  - insert(ts, addr): ts must not already be present. FenwickWindow
+///    further requires ascending keys: ts must exceed every key inserted
+///    since its last clear() (or renumber()). RankState, the Parda caller,
+///    meets this by giving every insert the next local tick.
 ///  - erase(ts): removes the entry with that timestamp; false if absent.
 ///  - count_greater(ts): number of entries with timestamp strictly greater
 ///    than ts; ts need not be present. Non-const because the splay engine

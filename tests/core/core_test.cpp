@@ -3,6 +3,8 @@
 // bound, and with or without the space optimization (paper Section IV-B).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "seq/bounded.hpp"
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/treap.hpp"
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
@@ -122,6 +125,7 @@ TEST(PardaTest, WorksWithEveryTreeEngine) {
   PardaOptions options;
   options.num_procs = 3;
   EXPECT_TRUE(run_parda<SplayTree>(trace, options).hist == expected);
+  EXPECT_TRUE(run_parda<FenwickWindow>(trace, options).hist == expected);
   EXPECT_TRUE(run_parda<AvlTree>(trace, options).hist == expected);
   EXPECT_TRUE(run_parda<Treap>(trace, options).hist == expected);
 }
@@ -238,32 +242,90 @@ TEST(RankStateTest, CountOffsetsIncomingDistances) {
   EXPECT_EQ(state.hist().at(2), 1u);
 }
 
-TEST(RankStateTest, ExportImportRoundTrip) {
-  RankState<> a;
+/// Addresses of the rank's tree entries in key order.
+template <OrderStatTree Tree>
+std::vector<Addr> resident_addrs(const RankState<Tree>& state) {
+  std::vector<Addr> out;
+  state.tree().for_each([&](TreeEntry e) { out.push_back(e.addr); });
+  return out;
+}
+
+template <typename Tree>
+class RankStateTreeTest : public ::testing::Test {};
+
+using RankTrees = ::testing::Types<SplayTree, FenwickWindow>;
+TYPED_TEST_SUITE(RankStateTreeTest, RankTrees);
+
+TYPED_TEST(RankStateTreeTest, ExportImportRoundTrip) {
+  // Algorithm 6 at the holder: a's chunk precedes b's, so a's exported
+  // state is older than b's own entries.
+  RankState<TypeParam> a;
   a.process_own(10, 0);
   a.process_own(20, 1);
   a.take_local_infinities();
-  RankState<> b;
+  RankState<TypeParam> b;
   b.process_own(30, 2);
   b.take_local_infinities();
-  auto exported = a.export_state();
+  const std::vector<InfRecord> exported = a.export_state();
   EXPECT_EQ(a.resident(), 0u);
-  b.import_state(exported);
+  const std::span<const InfRecord> older[] = {exported};
+  b.merge_state(older);
   EXPECT_EQ(b.resident(), 3u);
+  EXPECT_EQ(resident_addrs(b), (std::vector<Addr>{10, 20, 30}));
   // b can now resolve reuses of a's addresses.
   b.process_incoming(std::vector<InfRecord>{{10, 50}});
   EXPECT_EQ(b.hist().at(2), 1u);  // 20 and 30 intervene
 }
 
-TEST(RankStateTest, PruneToBoundKeepsMostRecent) {
-  RankState<> state(/*bound=*/2, /*space_optimized=*/true);
-  state.import_state(std::vector<InfRecord>{{1, 10}, {2, 20}, {3, 30}});
-  state.prune_to_bound();
-  EXPECT_EQ(state.resident(), 2u);
-  // Address 1 (oldest) is gone: a reuse of it now misses.
+TYPED_TEST(RankStateTreeTest, BoundedMergeKeepsTheBNewest) {
+  // Two older exports (virtual ranks 0 and 1) and the holder's own two
+  // entries: five in reference order 1..5, of which B = 4 survive — the
+  // cut falls inside the first export.
+  RankState<TypeParam> state(/*bound=*/4, /*space_optimized=*/true);
+  state.process_own(4, 40);
+  state.process_own(5, 41);
+  state.take_local_infinities();
+  const std::vector<InfRecord> v0{{1, 0}, {2, 1}};
+  const std::vector<InfRecord> v1{{3, 0}};
+  const std::span<const InfRecord> older[] = {v0, v1};
+  state.merge_state(older);
+  EXPECT_EQ(state.resident(), 4u);
+  EXPECT_EQ(resident_addrs(state), (std::vector<Addr>{2, 3, 4, 5}));
+  EXPECT_EQ(state.table().size(), 4u);
+  EXPECT_FALSE(state.table().contains(1));
+  EXPECT_TRUE(state.tree().validate());
+  // Address 2 (the oldest kept) hits at distance 3; address 1 (dropped)
+  // now misses.
   state.begin_merge_stage();
-  state.process_incoming(std::vector<InfRecord>{{1, 40}});
+  state.process_incoming(std::vector<InfRecord>{{2, 50}});
+  EXPECT_EQ(state.hist().at(3), 1u);  // 3, 4 and 5 intervene
+  state.process_incoming(std::vector<InfRecord>{{1, 51}});
   EXPECT_EQ(state.pending_infinities(), 1u);
+}
+
+TEST(RankStateTest, RenumberKeepsTicksDenseAndMapped) {
+  // 300 distinct addresses hit 20000 times: the key window keeps filling
+  // with dead slots, so it is renumbered many times instead of growing to
+  // the chunk length.
+  ZipfWorkload w(300, 0.7, 3);
+  const std::vector<Addr> chunk = generate_trace(w, 20000);
+  RankState<> state;
+  state.process_own_block(chunk, 0);
+  EXPECT_LE(state.tree().key_capacity(), 1024u);
+  EXPECT_TRUE(state.tree().validate());
+  // Every AddrMap value is the live key of its address.
+  std::vector<TreeEntry> entries;
+  state.tree().for_each([&](TreeEntry e) { entries.push_back(e); });
+  ASSERT_EQ(state.table().size(), entries.size());
+  state.table().for_each([&](Addr addr, Timestamp key) {
+    const auto it =
+        std::find_if(entries.begin(), entries.end(),
+                     [&](const TreeEntry& e) { return e.ts == key; });
+    ASSERT_NE(it, entries.end()) << "addr " << addr;
+    EXPECT_EQ(it->addr, addr);
+  });
+  state.flush_global_infinities();
+  EXPECT_TRUE(state.hist() == olken_analysis(chunk));
 }
 
 TEST(RankStateTest, ProcessOwnBlockEqualsPerReferenceLoop) {

@@ -3,7 +3,8 @@
 // identical histogram — naive stack, Olken on all four trees,
 // Bennett-Kruskal, offline Parda (both merge variants, several rank
 // counts), and streaming Parda — and the bounded variants must equal the
-// bounded sequential analysis.
+// bounded sequential analysis. Every parallel case runs on both rank trees:
+// the paper's SplayTree and the default FenwickWindow.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +20,7 @@
 #include "seq/opt.hpp"
 #include "trace/trace_pipe.hpp"
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
@@ -91,6 +93,25 @@ std::vector<Addr> cocktail_trace(std::uint64_t seed, std::size_t n) {
   return trace;
 }
 
+/// Streams `trace` through a pipe of `pipe_words` in writes of `block`
+/// words and analyzes it on rank tree Tree.
+template <OrderStatTree Tree>
+PardaResult stream_trace(const std::vector<Addr>& trace,
+                         std::size_t pipe_words, std::size_t block,
+                         const PardaOptions& options) {
+  TracePipe pipe(pipe_words);
+  std::thread producer([&] {
+    for (std::size_t at = 0; at < trace.size(); at += block) {
+      const std::size_t hi = std::min(at + block, trace.size());
+      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
+    }
+    pipe.close();
+  });
+  PardaResult result = run_parda_pipe<Tree>(pipe, options);
+  producer.join();
+  return result;
+}
+
 class FuzzEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzEquivalenceTest, AllExactEnginesAgree) {
@@ -110,8 +131,10 @@ TEST_P(FuzzEquivalenceTest, AllExactEnginesAgree) {
       PardaOptions options;
       options.num_procs = np;
       options.space_optimized = space_opt;
+      EXPECT_TRUE(run_parda<SplayTree>(trace, options).hist == expected)
+          << "splay np=" << np << " opt=" << space_opt;
       EXPECT_TRUE(run_parda(trace, options).hist == expected)
-          << "np=" << np << " opt=" << space_opt;
+          << "fenwick np=" << np << " opt=" << space_opt;
     }
   }
 }
@@ -124,8 +147,10 @@ TEST_P(FuzzEquivalenceTest, BoundedEnginesAgree) {
     PardaOptions options;
     options.num_procs = 4;
     options.bound = bound;
+    EXPECT_TRUE(run_parda<SplayTree>(trace, options).hist == expected)
+        << "splay B=" << bound;
     EXPECT_TRUE(run_parda(trace, options).hist == expected)
-        << "B=" << bound;
+        << "fenwick B=" << bound;
   }
 }
 
@@ -139,18 +164,13 @@ TEST_P(FuzzEquivalenceTest, StreamedMatchesOffline) {
   options.chunk_words = 16 + rng.below(700);
   const std::size_t block = 1 + rng.below(900);
 
-  TracePipe pipe(512);
-  std::thread producer([&] {
-    for (std::size_t at = 0; at < trace.size(); at += block) {
-      const std::size_t hi = std::min(at + block, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-    }
-    pipe.close();
-  });
-  const PardaResult result = run_parda_pipe(pipe, options);
-  producer.join();
-  EXPECT_TRUE(result.hist == expected)
-      << "np=" << options.num_procs << " C=" << options.chunk_words
+  EXPECT_TRUE(stream_trace<SplayTree>(trace, 512, block, options).hist ==
+              expected)
+      << "splay np=" << options.num_procs << " C=" << options.chunk_words
+      << " block=" << block;
+  EXPECT_TRUE(stream_trace<FenwickWindow>(trace, 512, block, options).hist ==
+              expected)
+      << "fenwick np=" << options.num_procs << " C=" << options.chunk_words
       << " block=" << block;
 }
 
@@ -166,18 +186,13 @@ TEST_P(FuzzEquivalenceTest, BoundedStreamedMatchesBoundedSequential) {
   options.chunk_words = 16 + rng.below(400);
   options.bound = bound;
 
-  TracePipe pipe(256);
-  std::thread producer([&] {
-    for (std::size_t at = 0; at < trace.size(); at += 100) {
-      const std::size_t hi = std::min(at + 100, trace.size());
-      pipe.write(std::span<const Addr>(trace.data() + at, hi - at));
-    }
-    pipe.close();
-  });
-  const PardaResult result = run_parda_pipe(pipe, options);
-  producer.join();
-  EXPECT_TRUE(result.hist == expected)
-      << "np=" << options.num_procs << " C=" << options.chunk_words
+  EXPECT_TRUE(stream_trace<SplayTree>(trace, 256, 100, options).hist ==
+              expected)
+      << "splay np=" << options.num_procs << " C=" << options.chunk_words
+      << " B=" << bound;
+  EXPECT_TRUE(stream_trace<FenwickWindow>(trace, 256, 100, options).hist ==
+              expected)
+      << "fenwick np=" << options.num_procs << " C=" << options.chunk_words
       << " B=" << bound;
 }
 

@@ -37,7 +37,8 @@ const char* const kTable2 = "d a c b c c g e f a f b c";
 // Table III: the 24-reference three-processor example.
 const char* const kTable3 = "d a c b c c g e f a f b c m t m a c f b d c a c";
 
-std::vector<TreeEntry> tree_contents(const SplayTree& tree) {
+template <OrderStatTree Tree>
+std::vector<TreeEntry> tree_contents(const Tree& tree) {
   std::vector<TreeEntry> entries;
   tree.for_each([&](TreeEntry e) { entries.push_back(e); });
   return entries;
@@ -118,7 +119,9 @@ TEST(PaperTable3Figure2, ThreeProcessorSpaceOptimizedWalkthrough) {
   ASSERT_EQ(trace.size(), 24u);
 
   // Drive the three rank states by hand, playing the messages of
-  // Algorithm 3 + 4 exactly as Figure 2 does.
+  // Algorithm 3 + 4 exactly as Figure 2 does. A rank keys its tree by
+  // local tick (one per reference); p0's chunk starts the trace, so its
+  // keys are the paper's timestamps.
   RankState<> p0;
   RankState<> p1;
   RankState<> p2;

@@ -12,11 +12,13 @@
 #include "core/runtime.hpp"
 #include "trace/source.hpp"
 #include "trace/trace_pipe.hpp"
+#include "tree/fenwick.hpp"
 
 namespace parda::test_support {
 
-/// Offline analysis of an in-memory trace through a SpanTraceSource.
-template <OrderStatTree Tree = SplayTree>
+/// Offline analysis of an in-memory trace through a SpanTraceSource. Tree
+/// defaults to the driver's default rank tree.
+template <OrderStatTree Tree = FenwickWindow>
 PardaResult run_parda(std::span<const Addr> trace,
                       const PardaOptions& options) {
   comm::WorkerPool pool(options.num_procs);
@@ -25,7 +27,7 @@ PardaResult run_parda(std::span<const Addr> trace,
 }
 
 /// Streaming analysis of a pipe through a PipeTraceSource.
-template <OrderStatTree Tree = SplayTree>
+template <OrderStatTree Tree = FenwickWindow>
 PardaResult run_parda_pipe(TracePipe& pipe, const PardaOptions& options) {
   comm::WorkerPool pool(options.num_procs);
   PipeTraceSource source(pipe);

@@ -1,11 +1,15 @@
 // Typed tests run every order-statistic engine against the same contract,
-// plus randomized cross-checks against the sorted-vector oracle.
+// plus randomized cross-checks against the sorted-vector oracle. Tests
+// whose keys only ascend cover all five engines; FenwickWindow requires
+// ascending inserts, so the arbitrary-order tests cover the four BSTs and
+// the window has its own tests below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "tree/avl_tree.hpp"
+#include "tree/fenwick.hpp"
 #include "tree/order_stat_tree.hpp"
 #include "tree/splay_tree.hpp"
 #include "tree/treap.hpp"
@@ -21,8 +25,18 @@ class OrderStatTreeTest : public ::testing::Test {
   T tree_;
 };
 
-using Engines = ::testing::Types<SplayTree, AvlTree, Treap, VectorTree>;
+using Engines =
+    ::testing::Types<SplayTree, AvlTree, Treap, VectorTree, FenwickWindow>;
 TYPED_TEST_SUITE(OrderStatTreeTest, Engines);
+
+template <typename T>
+class AnyKeyOrderTreeTest : public ::testing::Test {
+ protected:
+  T tree_;
+};
+
+using BstEngines = ::testing::Types<SplayTree, AvlTree, Treap, VectorTree>;
+TYPED_TEST_SUITE(AnyKeyOrderTreeTest, BstEngines);
 
 TYPED_TEST(OrderStatTreeTest, EmptyTree) {
   EXPECT_EQ(this->tree_.size(), 0u);
@@ -66,14 +80,14 @@ TYPED_TEST(OrderStatTreeTest, AscendingInsertion) {
   }
 }
 
-TYPED_TEST(OrderStatTreeTest, DescendingInsertion) {
+TYPED_TEST(AnyKeyOrderTreeTest, DescendingInsertion) {
   for (Timestamp ts = 1000; ts-- > 0;) this->tree_.insert(ts, ts);
   EXPECT_EQ(this->tree_.size(), 1000u);
   EXPECT_TRUE(this->tree_.validate());
   EXPECT_EQ(this->tree_.count_greater(499), 500u);
 }
 
-TYPED_TEST(OrderStatTreeTest, OldestAndPopOldest) {
+TYPED_TEST(AnyKeyOrderTreeTest, OldestAndPopOldest) {
   Xoshiro256 rng(99);
   std::vector<Timestamp> keys;
   for (int i = 0; i < 300; ++i) {
@@ -93,7 +107,7 @@ TYPED_TEST(OrderStatTreeTest, OldestAndPopOldest) {
   EXPECT_TRUE(this->tree_.validate());
 }
 
-TYPED_TEST(OrderStatTreeTest, ForEachIsInOrder) {
+TYPED_TEST(AnyKeyOrderTreeTest, ForEachIsInOrder) {
   Xoshiro256 rng(7);
   for (int i = 0; i < 500; ++i) {
     this->tree_.insert(mix64(static_cast<std::uint64_t>(i)) >> 8,
@@ -126,7 +140,7 @@ TYPED_TEST(OrderStatTreeTest, EraseMiddleKeepsWeights) {
   EXPECT_EQ(this->tree_.size(), 75u);
 }
 
-TYPED_TEST(OrderStatTreeTest, RandomizedAgainstOracle) {
+TYPED_TEST(AnyKeyOrderTreeTest, RandomizedAgainstOracle) {
   TypeParam tree;
   VectorTree oracle;
   Xoshiro256 rng(31337);
@@ -175,6 +189,105 @@ TYPED_TEST(OrderStatTreeTest, PopOldestInterleavedWithInserts) {
   }
   EXPECT_EQ(this->tree_.size(), 64u);
   EXPECT_TRUE(this->tree_.validate());
+}
+
+TEST(FenwickWindowTest, RandomizedAgainstOracle) {
+  // Ascending keys with random gaps, erases anywhere (half of them LRU
+  // pops), and count_greater probes on present, absent and out-of-window
+  // keys.
+  FenwickWindow tree;
+  VectorTree oracle;
+  Xoshiro256 rng(4242);
+  std::vector<Timestamp> live;
+  Timestamp next = 0;
+  for (int step = 0; step < 30000; ++step) {
+    const int op = static_cast<int>(rng.below(10));
+    if (op < 5 || live.empty()) {
+      next += rng.below(4);
+      tree.insert(next, next ^ 0xF00D);
+      oracle.insert(next, next ^ 0xF00D);
+      live.push_back(next++);
+    } else if (op < 7) {
+      const std::size_t pick = rng.below(live.size());
+      EXPECT_TRUE(tree.erase(live[pick]));
+      EXPECT_TRUE(oracle.erase(live[pick]));
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (op < 8) {
+      EXPECT_EQ(tree.oldest(), oracle.oldest());
+      EXPECT_EQ(tree.pop_oldest(), oracle.pop_oldest());
+      live.erase(std::min_element(live.begin(), live.end()));
+    } else {
+      const Timestamp probe = rng.below(next + 8);
+      EXPECT_EQ(tree.count_greater(probe), oracle.count_greater(probe));
+      EXPECT_EQ(tree.erase(probe), oracle.erase(probe));
+      std::erase(live, probe);
+    }
+    ASSERT_EQ(tree.size(), oracle.size());
+    if (step % 1000 == 0) {
+      ASSERT_TRUE(tree.validate()) << step;
+    }
+  }
+  std::vector<TreeEntry> a;
+  std::vector<TreeEntry> b;
+  tree.for_each([&](TreeEntry e) { a.push_back(e); });
+  oracle.for_each([&](TreeEntry e) { b.push_back(e); });
+  EXPECT_EQ(a, b);
+}
+
+TEST(FenwickWindowTest, GapsAndGrowth) {
+  // Sparse keys grow the window through several doublings; the counts
+  // built before each growth stay valid.
+  FenwickWindow tree;
+  for (Timestamp k = 5; k < 5000; k += 7) tree.insert(k, k);
+  EXPECT_TRUE(tree.validate());
+  EXPECT_EQ(tree.key_capacity(), 8192u);
+  EXPECT_EQ(tree.size(), 714u);
+  EXPECT_EQ(tree.count_greater(0), 714u);
+  EXPECT_EQ(tree.count_greater(5), 713u);
+  EXPECT_EQ(tree.count_greater(4998), 0u);
+  EXPECT_EQ(tree.oldest(), (TreeEntry{5, 5}));
+  EXPECT_FALSE(tree.erase(6));  // a skipped key is a dead slot
+}
+
+TEST(FenwickWindowTest, RenumberIsDenseAndOrdered) {
+  FenwickWindow tree;
+  for (Timestamp k = 0; k < 1000; ++k) tree.insert(k, 10 * k);
+  for (Timestamp k = 0; k < 1000; ++k) {
+    if (k % 4 != 3) tree.erase(k);
+  }
+  std::vector<TreeEntry> renamed;
+  const Timestamp next = tree.renumber(
+      [&](Timestamp key, Addr addr) { renamed.push_back({key, addr}); });
+  EXPECT_EQ(next, 250u);
+  ASSERT_EQ(renamed.size(), 250u);
+  for (std::size_t i = 0; i < renamed.size(); ++i) {
+    EXPECT_EQ(renamed[i], (TreeEntry{i, 10 * (4 * i + 3)}));
+  }
+  EXPECT_TRUE(tree.validate());
+  EXPECT_EQ(tree.key_capacity(), 512u);  // shrunk to twice the survivors
+  EXPECT_EQ(tree.count_greater(99), 150u);
+  EXPECT_EQ(tree.oldest(), (TreeEntry{0, 30}));
+  // Keys continue from the returned frontier.
+  tree.insert(next, 1);
+  EXPECT_EQ(tree.count_greater(0), 250u);
+  EXPECT_TRUE(tree.validate());
+}
+
+TEST(FenwickWindowTest, RenumberOfAnEmptyWindow) {
+  FenwickWindow tree;
+  for (Timestamp k = 0; k < 100; ++k) tree.insert(k, k);
+  while (!tree.empty()) tree.pop_oldest();
+  EXPECT_EQ(tree.renumber([](Timestamp, Addr) { FAIL(); }), 0u);
+  EXPECT_TRUE(tree.validate());
+  tree.insert(0, 9);
+  EXPECT_EQ(tree.oldest(), (TreeEntry{0, 9}));
+}
+
+TEST(FenwickWindowDeathTest, RejectsAKeyBelowTheFrontier) {
+  FenwickWindow tree;
+  tree.insert(10, 1);
+  tree.erase(10);
+  EXPECT_DEATH(tree.insert(10, 2), "key >= end_");
 }
 
 TEST(AvlTreeTest, HeightStaysLogarithmic) {
