@@ -1,13 +1,13 @@
 // End-to-end engine comparison on an MRC-histogram workload: every
-// sequential ReuseAnalyzer head-to-head (LruChain vs Olken-splay/AVL/treap
-// vs Bennett-Kruskal's Fenwick engine vs the interval engine), each
-// measured through both the batched process_block path and the
-// per-reference loop, plus the parallel Parda driver at np=1..4 on both
-// rank trees: parda_splay (the paper's SplayTree) and parda_fenwick (the
-// default FenwickWindow). The driver has one dispatch path (each rank's
-// chunk goes through RankState::process_own_block), so its rows are
-// block=1 only; core_test's RankStateTest.ProcessOwnBlockEqualsPerReference
-// Loop pins that path to the per-reference loop.
+// sequential ReuseAnalyzer head-to-head (LruChain vs Olken-splay/AVL vs
+// Bennett-Kruskal's Fenwick engine), each measured through both the
+// batched process_block path and the per-reference loop, plus the
+// parallel Parda driver at np=1..4 on both rank trees: parda_splay (the
+// paper's SplayTree) and parda_fenwick (the default FenwickWindow). The
+// driver has one dispatch path (each rank's chunk goes through
+// RankState::process_own_block), so its rows are block=1 only;
+// core_test's RankStateTest.ProcessOwnBlockEqualsPerReferenceLoop pins
+// that path to the per-reference loop.
 //
 // Writes a parda.bench.v1 artifact (default BENCH_engines.json, override
 // with PARDA_BENCH_JSON); a point's identity is (name, np, block) — trace
@@ -37,14 +37,12 @@
 #include "bench_common.hpp"
 #include "core/parda.hpp"
 #include "seq/bennett_kruskal.hpp"
-#include "seq/interval_analyzer.hpp"
 #include "seq/lru_chain.hpp"
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
 #include "tree/fenwick.hpp"
 #include "tree/avl_tree.hpp"
-#include "tree/treap.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
 
@@ -100,7 +98,7 @@ void measure_seq(const char* name, const std::vector<Addr>& trace, int reps,
       auto analyzer = make();
       WallTimer timer;
       if (block) {
-        process_block(analyzer, std::span<const Addr>(trace));
+        analyzer.process_block(trace);
       } else {
         for (Addr z : trace) analyzer.process(z);
       }
@@ -146,12 +144,8 @@ void run_engines_suite() {
               [] { return OlkenAnalyzer<SplayTree>(); });
   measure_seq("olken_avl", trace, reps, points,
               [] { return OlkenAnalyzer<AvlTree>(); });
-  measure_seq("olken_treap", trace, reps, points,
-              [] { return OlkenAnalyzer<Treap>(); });
   measure_seq("fenwick", trace, reps, points,
               [] { return BennettKruskalAnalyzer(); });
-  measure_seq("interval", trace, reps, points,
-              [] { return IntervalAnalyzer(); });
   for (int np = 1; np <= 4; ++np) {
     measure_parda<SplayTree>("parda_splay", np, trace, reps, points);
     measure_parda<FenwickWindow>("parda_fenwick", np, trace, reps, points);
@@ -211,17 +205,6 @@ void BM_SequentialOlken(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SequentialOlken);
-
-void BM_IntervalAnalyzer(benchmark::State& state) {
-  const auto& trace = shared_trace();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(interval_analysis(trace).total());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-BENCHMARK(BM_IntervalAnalyzer);
 
 void BM_BennettKruskal(benchmark::State& state) {
   const auto& trace = shared_trace();

@@ -8,6 +8,7 @@
 #include "bench_common.hpp"
 #include "core/parda.hpp"
 #include "core/rank_state.hpp"
+#include "seq/olken.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -77,7 +78,7 @@ int main() {
       std::min<std::uint64_t>(spec_profile("perlbench").scaled_n(scale),
                               maxrefs);
   const std::vector<Addr> trace = take_trace(*workload, n);
-  const Histogram reference = sequential_reference(trace);
+  const Histogram reference = olken_analysis(trace);
   const std::uint64_t m = reference.infinities();
 
   std::printf(

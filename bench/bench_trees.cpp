@@ -1,6 +1,6 @@
-// Ablation A1: order-statistic tree engine choice (splay vs AVL vs treap
-// vs sorted vector) under the reuse-distance access pattern — the design
-// space the paper's Section VII surveys ([13] AVL, [17][18] splay).
+// Ablation A1: order-statistic tree engine choice (splay vs AVL vs sorted
+// vector) under the reuse-distance access pattern — the design space the
+// paper's Section VII surveys ([13] AVL, [17][18] splay).
 //
 // Writes a parda.bench.v1 artifact (default BENCH_trees.json, override
 // with PARDA_BENCH_JSON): olken_zipf_* points sweep the footprint m on a
@@ -24,7 +24,6 @@
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
 #include "tree/splay_tree.hpp"
-#include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
@@ -111,7 +110,6 @@ void run_trees_suite() {
   std::vector<bench::BenchPoint> points;
   tree_points<SplayTree>("splay", refs, reps, points);
   tree_points<AvlTree>("avl", refs, reps, points);
-  tree_points<Treap>("treap", refs, reps, points);
   // VectorTree is O(m) per erase: zipf/churn only at the small footprint
   // would still dominate the suite at full size, so it stays out of the
   // artifact (run BM_OlkenEngine_Zipf<VectorTree> ad hoc instead).
@@ -143,7 +141,6 @@ void BM_OlkenEngine_Zipf(benchmark::State& state) {
 
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, SplayTree)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, AvlTree)->Arg(1 << 10)->Arg(1 << 14);
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, Treap)->Arg(1 << 10)->Arg(1 << 14);
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Zipf, VectorTree)->Arg(1 << 10);
 
 template <typename Tree>
@@ -160,7 +157,6 @@ void BM_OlkenEngine_Streaming(benchmark::State& state) {
 
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Streaming, SplayTree)->Arg(1 << 12);
 BENCHMARK_TEMPLATE(BM_OlkenEngine_Streaming, AvlTree)->Arg(1 << 12);
-BENCHMARK_TEMPLATE(BM_OlkenEngine_Streaming, Treap)->Arg(1 << 12);
 
 template <typename Tree>
 void BM_TreeChurn(benchmark::State& state) {
@@ -181,7 +177,6 @@ void BM_TreeChurn(benchmark::State& state) {
 
 BENCHMARK_TEMPLATE(BM_TreeChurn, SplayTree)->Arg(1 << 12);
 BENCHMARK_TEMPLATE(BM_TreeChurn, AvlTree)->Arg(1 << 12);
-BENCHMARK_TEMPLATE(BM_TreeChurn, Treap)->Arg(1 << 12);
 
 }  // namespace
 }  // namespace parda

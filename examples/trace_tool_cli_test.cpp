@@ -35,8 +35,8 @@ class TraceToolCliTest : public ::testing::Test {
 
 TEST_F(TraceToolCliTest, UnknownEngineIsUsageError) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=warp"), 2);
-  // avl, treap, interval and naive stay test oracles and bench ablation
-  // rows; they are not trace_tool engines.
+  // None of these is a trace_tool engine: avl and naive are library-only
+  // test oracles and bench rows, treap and interval are not engines.
   for (const char* engine : {"avl", "treap", "interval", "naive"}) {
     EXPECT_EQ(run(std::string("analyze trace_cli_test.trc --engine=") +
                   engine),
@@ -55,6 +55,14 @@ TEST_F(TraceToolCliTest, SequentialEngineRuns) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --bound=256"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=olken"), 0);
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=fenwick"), 0);
+}
+
+TEST_F(TraceToolCliTest, LruBoundAboveFootprintRuns) {
+  // A bound far above the footprint means unbounded; the engine must not
+  // size anything from it.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru "
+                "--bound=1000000000000"),
+            0);
 }
 
 TEST_F(TraceToolCliTest, SequentialEngineWithStreamIsUsageError) {

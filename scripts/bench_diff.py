@@ -11,12 +11,15 @@ written before the comm layer grew a transport axis keep matching the
 threads points of newer runs. For each matched point, every metric
 present in both files is compared; a metric whose candidate value
 exceeds the baseline by more than --threshold-pct is a regression (all
-schema metrics are costs: time, bytes, messages — bigger is worse). Points
-present on only one side are reported but are not failures, so adding a
-measurement does not break the gate.
+schema metrics are costs: time, bytes, messages — bigger is worse). A
+baseline point absent from the candidate is a failure too, so a bench row
+cannot vanish silently; a candidate point absent from the baseline is
+reported but is not a failure, so adding a measurement does not break the
+gate.
 
-Exit status: 0 = no regression, 1 = at least one metric over threshold,
-2 = usage / schema error. Stdlib only.
+Exit status: 0 = no regression and no missing point, 1 = at least one
+metric over threshold or baseline point missing, 2 = usage / schema
+error. Stdlib only.
 """
 
 import argparse
@@ -89,13 +92,16 @@ def main():
     cand = load_points(args.candidate)
 
     regressions = 0
+    missing = 0
     compared = 0
     for key in sorted(base.keys() | cand.keys()):
         if key not in base:
             print(f"  new point (not compared): {fmt_key(key)}")
             continue
         if key not in cand:
-            print(f"  missing point (not compared): {fmt_key(key)}")
+            missing += 1
+            print(f"MISSING {fmt_key(key)}: baseline point absent from "
+                  f"the candidate")
             continue
         for metric in sorted(base[key].keys() & cand[key].keys()):
             if args.metric and metric not in args.metric:
@@ -112,8 +118,9 @@ def main():
                       f"+{args.threshold_pct:g}%)")
 
     print(f"bench_diff: {compared} metrics compared, "
-          f"{regressions} regression(s) over +{args.threshold_pct:g}%")
-    return 1 if regressions else 0
+          f"{regressions} regression(s) over +{args.threshold_pct:g}%, "
+          f"{missing} baseline point(s) missing")
+    return 1 if regressions or missing else 0
 
 
 if __name__ == "__main__":

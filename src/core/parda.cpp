@@ -1,8 +1,5 @@
 #include "core/parda.hpp"
 
-#include "seq/bounded.hpp"
-#include "seq/olken.hpp"
-
 namespace parda {
 
 Histogram reduce_histogram(comm::Comm& comm, const Histogram& mine,
@@ -28,12 +25,6 @@ Histogram reduce_histogram(comm::Comm& comm, const Histogram& mine,
     }
   }
   return acc;
-}
-
-Histogram sequential_reference(std::span<const Addr> trace,
-                               std::uint64_t bound) {
-  if (bound == kUnbounded) return olken_analysis<SplayTree>(trace);
-  return bounded_analysis<SplayTree>(trace, bound);
 }
 
 }  // namespace parda

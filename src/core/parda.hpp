@@ -372,9 +372,4 @@ PardaResult parda_analyze(comm::WorkerPool& pool, TraceSource& source,
                      std::move(profiles)};
 }
 
-/// Convenience: sequential Olken analysis through the same result type,
-/// for side-by-side comparisons in benches.
-Histogram sequential_reference(std::span<const Addr> trace,
-                               std::uint64_t bound = kUnbounded);
-
 }  // namespace parda

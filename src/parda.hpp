@@ -19,7 +19,6 @@
 #include "seq/approx.hpp"            // IWYU pragma: export
 #include "seq/bennett_kruskal.hpp"   // IWYU pragma: export
 #include "seq/bounded.hpp"           // IWYU pragma: export
-#include "seq/interval_analyzer.hpp" // IWYU pragma: export
 #include "seq/naive.hpp"             // IWYU pragma: export
 #include "seq/olken.hpp"             // IWYU pragma: export
 

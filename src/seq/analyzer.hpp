@@ -1,28 +1,19 @@
 // The unified sequential-engine API: every reuse distance engine — Naive,
-// Olken, BennettKruskal, Bounded, Approx, Interval, LruChain — conforms to
-// the ReuseAnalyzer concept below (checked by static_asserts at the bottom
-// of each engine header), so drivers, benches, and the observability layer
-// talk to all seven through one shape:
+// Olken, BennettKruskal, Bounded, Approx, LruChain, FixedSizeSampler —
+// conforms to the ReuseAnalyzer concept below (checked by static_asserts
+// at the bottom of each engine header), so drivers, benches, and the
+// observability layer talk to all seven through one shape:
 //
-//   analyzer.process(addr);   // one reference (may defer work, e.g. B&K)
-//   analyzer.finish();        // flush deferred work; idempotent
-//   analyzer.histogram();     // the result (valid after finish())
-//   analyzer.stats();         // structural counters for the metrics layer
+//   analyzer.process(addr);         // one reference (may defer, e.g. B&K)
+//   analyzer.process_block(block);  // the same for each reference of block
+//   analyzer.finish();              // flush deferred work; idempotent
+//   analyzer.histogram();           // the result (valid after finish())
+//   analyzer.stats();               // structural counters for metrics
 //
 // The distance-returning access() members remain on the engines that can
 // answer online; process() is the portable surface (Bennett & Kruskal is
 // two-pass and cannot return distances online, which is why the concept is
 // built around process/finish rather than access).
-//
-// Batched surface: engines may additionally expose
-//
-//   analyzer.process_block(std::span<const Addr>);
-//
-// (the BlockReuseAnalyzer refinement). The free process_block() below
-// dispatches to it when present and falls back to the per-reference loop
-// otherwise, so drivers always hand blocks down and engines that can
-// software-prefetch their hash probes (LruChain, Olken, Bounded) amortize
-// per-reference dispatch overhead.
 #pragma once
 
 #include <concepts>
@@ -45,7 +36,7 @@ struct EngineStats {
   std::uint64_t finite = 0;          // finite distances in histogram()
   std::uint64_t infinities = 0;      // infinity bin of histogram()
   std::uint64_t hash_probes = 0;     // AddrMap slot inspections
-  std::uint64_t tree_rotations = 0;  // rotations (splay/AVL/treap)
+  std::uint64_t tree_rotations = 0;  // rotations (splay/AVL)
   std::uint64_t tree_splays = 0;     // splay-to-root operations
   std::uint64_t evictions = 0;       // LRU evictions (bounded engines)
   std::uint64_t marker_hops = 0;     // log2-marker slides (LruChain)
@@ -54,110 +45,50 @@ struct EngineStats {
   void publish(obs::Registry& reg, std::string_view prefix) const;
 };
 
-/// Resolves the "<prefix>.*" metric handles for EngineStats publication
-/// once, so repeated publication (one per job in the pooled-runtime loop)
-/// is just nine handle records — no name concatenation, no allocation,
-/// no registry lock. Construct it next to the session/monitor that owns
-/// the engine and call publish() per job.
-class EngineStatsPublisher {
- public:
-  EngineStatsPublisher(obs::Registry& reg, std::string_view prefix)
-      : references_(&resolve(reg, prefix, ".references")),
-        finite_(&resolve(reg, prefix, ".finite")),
-        infinities_(&resolve(reg, prefix, ".infinities")),
-        hash_probes_(&resolve(reg, prefix, ".hash_probes")),
-        tree_rotations_(&resolve(reg, prefix, ".tree_rotations")),
-        tree_splays_(&resolve(reg, prefix, ".tree_splays")),
-        evictions_(&resolve(reg, prefix, ".evictions")),
-        marker_hops_(&resolve(reg, prefix, ".marker_hops")),
-        peak_footprint_(&reg.gauge(name(prefix, ".peak_footprint"))) {}
-
-  /// Hot-path safe: records through the cached handles only.
-  void publish(const EngineStats& s) const {
-    references_->add(s.references);
-    finite_->add(s.finite);
-    infinities_->add(s.infinities);
-    hash_probes_->add(s.hash_probes);
-    tree_rotations_->add(s.tree_rotations);
-    tree_splays_->add(s.tree_splays);
-    evictions_->add(s.evictions);
-    marker_hops_->add(s.marker_hops);
-    peak_footprint_->set_max(s.peak_footprint);
-  }
-
- private:
-  static std::string name(std::string_view prefix, std::string_view suffix) {
-    std::string n;
-    n.reserve(prefix.size() + suffix.size());
-    n.append(prefix);
-    n.append(suffix);
-    return n;
-  }
-  static obs::Counter& resolve(obs::Registry& reg, std::string_view prefix,
-                               std::string_view suffix) {
-    return reg.counter(name(prefix, suffix));
-  }
-
-  obs::Counter* references_;
-  obs::Counter* finite_;
-  obs::Counter* infinities_;
-  obs::Counter* hash_probes_;
-  obs::Counter* tree_rotations_;
-  obs::Counter* tree_splays_;
-  obs::Counter* evictions_;
-  obs::Counter* marker_hops_;
-  obs::Gauge* peak_footprint_;
-};
-
-/// One-shot publication under "<prefix>.references", "<prefix>.hash_probes",
-/// ... attributed to the calling thread's rank shard. Cold path (nine name
-/// lookups); per-job publication in a loop should hold an
-/// EngineStatsPublisher instead, which resolves the handles once.
+/// Publication under "<prefix>.references", "<prefix>.hash_probes", ...
+/// attributed to the calling thread's rank shard. Cold path: nine name
+/// lookups per call.
 inline void EngineStats::publish(obs::Registry& reg,
                                  std::string_view prefix) const {
-  EngineStatsPublisher(reg, prefix).publish(*this);
+  const auto name = [prefix](std::string_view suffix) {
+    std::string n(prefix);
+    n.append(suffix);
+    return n;
+  };
+  reg.counter(name(".references")).add(references);
+  reg.counter(name(".finite")).add(finite);
+  reg.counter(name(".infinities")).add(infinities);
+  reg.counter(name(".hash_probes")).add(hash_probes);
+  reg.counter(name(".tree_rotations")).add(tree_rotations);
+  reg.counter(name(".tree_splays")).add(tree_splays);
+  reg.counter(name(".evictions")).add(evictions);
+  reg.counter(name(".marker_hops")).add(marker_hops);
+  reg.gauge(name(".peak_footprint")).set_max(peak_footprint);
 }
 
 /// The engine concept. histogram() contents are only final after finish();
-/// finish() must be idempotent and process() must not be called after it.
+/// finish() must be idempotent and neither process() nor process_block()
+/// may be called after it. process_block(b) must be exactly equivalent to
+/// calling process(z) for each z of b in order — it exists so an engine
+/// can software-prefetch its hash probes a few references ahead and skip
+/// per-call overhead, not to change results (seq_test checks the
+/// equivalence for every engine).
 template <typename A>
-concept ReuseAnalyzer = requires(A a, const A ca, Addr z) {
+concept ReuseAnalyzer = requires(A a, const A ca, Addr z,
+                                 std::span<const Addr> block) {
   { a.process(z) } -> std::same_as<void>;
+  { a.process_block(block) } -> std::same_as<void>;
   { a.finish() } -> std::same_as<void>;
   { ca.histogram() } -> std::same_as<const Histogram&>;
   { ca.stats() } -> std::same_as<EngineStats>;
 };
 
-/// Refinement for engines with a native batched surface. process_block(b)
-/// must be exactly equivalent to calling process(z) for each z of b in
-/// order — it exists so the engine can software-prefetch its hash probes
-/// a few references ahead and skip per-call overhead, not to change
-/// results (the equivalence is property-tested per engine).
-template <typename A>
-concept BlockReuseAnalyzer =
-    ReuseAnalyzer<A> && requires(A a, std::span<const Addr> block) {
-      { a.process_block(block) } -> std::same_as<void>;
-    };
-
-/// Block dispatch: the batched entry every driver funnels through. Uses
-/// the engine's native process_block when it has one, else the per-
-/// reference loop.
-template <ReuseAnalyzer A>
-void process_block(A& analyzer, std::span<const Addr> block) {
-  if constexpr (BlockReuseAnalyzer<A>) {
-    analyzer.process_block(block);
-  } else {
-    for (Addr z : block) analyzer.process(z);
-  }
-}
-
 /// Runs a whole trace through any conforming engine and returns the
 /// finished histogram (the one-liner behind the per-engine *_analysis
-/// convenience functions). Dispatches the trace as one block so engines
-/// with a batched surface get their prefetched path.
+/// convenience functions). Hands the trace down as one block.
 template <ReuseAnalyzer A>
 Histogram analyze_trace(A& analyzer, std::span<const Addr> trace) {
-  process_block(analyzer, trace);
+  analyzer.process_block(trace);
   analyzer.finish();
   return analyzer.histogram();
 }

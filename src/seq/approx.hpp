@@ -81,6 +81,10 @@ class ApproxAnalyzer {
     if (rate_ >= 1.0 || sample_selects(z, rate_, seed_)) exact_.process(z);
   }
 
+  void process_block(std::span<const Addr> block) {
+    for (Addr z : block) process(z);
+  }
+
   void finish() {
     if (finished_) return;
     finished_ = true;

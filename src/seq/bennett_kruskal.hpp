@@ -126,7 +126,6 @@ class BennettKruskalAnalyzer {
 };
 
 static_assert(ReuseAnalyzer<BennettKruskalAnalyzer>);
-static_assert(BlockReuseAnalyzer<BennettKruskalAnalyzer>);
 
 /// Whole-trace analysis; requires the trace in memory (two passes).
 inline Histogram bennett_kruskal_analysis(std::span<const Addr> trace) {

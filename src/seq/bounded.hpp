@@ -44,11 +44,9 @@ class BoundedAnalyzer {
     return d;
   }
 
-  void access_and_record(Addr z, Histogram& hist) { hist.record(access(z)); }
-
-  /// Batched access: records each reference's distance into `hist` (not
-  /// the internal histogram) with the same prefetch schedule as
-  /// process_block — the online-MRC monitor's window path.
+  /// Batched access: records each reference's distance into `hist` — the
+  /// internal histogram for process_block, a window histogram for the
+  /// online-MRC monitor.
   void access_block(std::span<const Addr> block, Histogram& hist) {
     constexpr std::size_t kAhead = 8;
     const std::size_t n = block.size();
@@ -65,12 +63,7 @@ class BoundedAnalyzer {
   /// with the hash probe a few references ahead software-prefetched so the
   /// table's home slot is resident by the time access() runs.
   void process_block(std::span<const Addr> block) {
-    constexpr std::size_t kAhead = 8;
-    const std::size_t n = block.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) table_.prefetch(block[i + kAhead]);
-      hist_.record(access(block[i]));
-    }
+    access_block(block, hist_);
   }
 
   void finish() {}
@@ -114,7 +107,6 @@ class BoundedAnalyzer {
 };
 
 static_assert(ReuseAnalyzer<BoundedAnalyzer<SplayTree>>);
-static_assert(BlockReuseAnalyzer<BoundedAnalyzer<SplayTree>>);
 
 template <OrderStatTree Tree = SplayTree>
 Histogram bounded_analysis(std::span<const Addr> trace, std::uint64_t bound) {

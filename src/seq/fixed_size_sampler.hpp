@@ -248,6 +248,5 @@ class FixedSizeSampler {
 };
 
 static_assert(ReuseAnalyzer<FixedSizeSampler>);
-static_assert(BlockReuseAnalyzer<FixedSizeSampler>);
 
 }  // namespace parda

@@ -60,9 +60,10 @@ class LruChainAnalyzer {
   /// the Algorithm 7 cache-bound semantics, so every reference with true
   /// distance < B lands in its exact bucket and everything else is an
   /// infinity.
+  /// The arena grows with the misses, never with the bound: an unchecked
+  /// bound far above the footprint just means unbounded.
   explicit LruChainAnalyzer(std::uint64_t bound = 0) : bound_(bound) {
     marker_.fill(kNull);
-    if (bound_ != 0) nodes_.reserve(static_cast<std::size_t>(bound_));
   }
 
   /// Processes one reference and returns the log2 bucket of its reuse
@@ -238,7 +239,6 @@ class LruChainAnalyzer {
 };
 
 static_assert(ReuseAnalyzer<LruChainAnalyzer>);
-static_assert(BlockReuseAnalyzer<LruChainAnalyzer>);
 
 /// Whole-trace convenience (log2-granular histogram; bound 0 = unbounded).
 inline Histogram lru_chain_analysis(std::span<const Addr> trace,

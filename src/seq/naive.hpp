@@ -17,10 +17,11 @@ class NaiveStackAnalyzer {
   /// Processes one reference; returns its reuse distance.
   Distance access(Addr z);
 
-  void access_and_record(Addr z, Histogram& hist) { hist.record(access(z)); }
-
   // --- ReuseAnalyzer surface -----------------------------------------------
   void process(Addr z) { hist_.record(access(z)); }
+  void process_block(std::span<const Addr> block) {
+    for (Addr z : block) process(z);
+  }
   void finish() {}
   const Histogram& histogram() const noexcept { return hist_; }
   EngineStats stats() const {

@@ -40,9 +40,6 @@ class OlkenAnalyzer {
     return d;
   }
 
-  /// Processes one reference and tallies it into hist.
-  void access_and_record(Addr z, Histogram& hist) { hist.record(access(z)); }
-
   // --- ReuseAnalyzer surface -----------------------------------------------
   void process(Addr z) { hist_.record(access(z)); }
 
@@ -99,7 +96,6 @@ class OlkenAnalyzer {
 };
 
 static_assert(ReuseAnalyzer<OlkenAnalyzer<SplayTree>>);
-static_assert(BlockReuseAnalyzer<OlkenAnalyzer<SplayTree>>);
 
 /// Runs Algorithm 1 over a whole trace and returns the histogram.
 template <OrderStatTree Tree = SplayTree>

@@ -23,8 +23,8 @@ struct TreeEntry {
   friend bool operator==(const TreeEntry&, const TreeEntry&) = default;
 };
 
-/// Concept satisfied by SplayTree, AvlTree, Treap, VectorTree, and
-/// FenwickWindow (tree/fenwick.hpp).
+/// Concept satisfied by SplayTree, AvlTree, VectorTree, and FenwickWindow
+/// (tree/fenwick.hpp).
 ///
 /// Semantics:
 ///  - insert(ts, addr): ts must not already be present. FenwickWindow

@@ -15,7 +15,6 @@
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
 #include "tree/fenwick.hpp"
-#include "tree/treap.hpp"
 #include "workload/generators.hpp"
 #include "workload/spec.hpp"
 
@@ -127,7 +126,6 @@ TEST(PardaTest, WorksWithEveryTreeEngine) {
   EXPECT_TRUE(run_parda<SplayTree>(trace, options).hist == expected);
   EXPECT_TRUE(run_parda<FenwickWindow>(trace, options).hist == expected);
   EXPECT_TRUE(run_parda<AvlTree>(trace, options).hist == expected);
-  EXPECT_TRUE(run_parda<Treap>(trace, options).hist == expected);
 }
 
 TEST(PardaTest, SpecWorkloadsRoundTrip) {

@@ -14,14 +14,12 @@
 #include "core/parda.hpp"
 #include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
-#include "seq/interval_analyzer.hpp"
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "seq/opt.hpp"
 #include "trace/trace_pipe.hpp"
 #include "tree/avl_tree.hpp"
 #include "tree/fenwick.hpp"
-#include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
@@ -121,10 +119,8 @@ TEST_P(FuzzEquivalenceTest, AllExactEnginesAgree) {
 
   EXPECT_TRUE(naive_stack_analysis(trace) == expected);
   EXPECT_TRUE(olken_analysis<AvlTree>(trace) == expected);
-  EXPECT_TRUE(olken_analysis<Treap>(trace) == expected);
   EXPECT_TRUE(olken_analysis<VectorTree>(trace) == expected);
   EXPECT_TRUE(bennett_kruskal_analysis(trace) == expected);
-  EXPECT_TRUE(interval_analysis(trace) == expected);
 
   for (const int np : {2, 5}) {
     for (const bool space_opt : {false, true}) {

@@ -9,11 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
-#include "seq/interval_analyzer.hpp"
 #include "seq/lru_chain.hpp"
-#include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "tree/splay_tree.hpp"
 #include "util/prng.hpp"
@@ -210,6 +207,18 @@ TEST(LruChainTest, FreeListRecyclesUnderBound) {
   EXPECT_TRUE(a.check_invariants(&why)) << why;
 }
 
+TEST(LruChainTest, BoundAboveAnyArenaIsExact) {
+  // A bound far beyond the footprint means unbounded; the arena grows
+  // with the addresses seen, never with the bound.
+  UniformRandomWorkload w(777, 11);
+  const auto trace = generate_trace(w, 20000);
+  LruChainAnalyzer a(std::uint64_t{1} << 40);
+  analyze_trace(a, trace);
+  EXPECT_TRUE(a.histogram() == lru_chain_analysis(trace));
+  EXPECT_EQ(a.allocated_nodes(), a.footprint());
+  EXPECT_EQ(a.eviction_count(), 0u);
+}
+
 TEST(LruChainTest, UnboundedPeakEqualsFootprint) {
   UniformRandomWorkload w(777, 3);
   const auto trace = generate_trace(w, 20000);
@@ -219,79 +228,6 @@ TEST(LruChainTest, UnboundedPeakEqualsFootprint) {
   EXPECT_EQ(a.allocated_nodes(), a.footprint());
   EXPECT_EQ(a.free_nodes(), 0u);
   EXPECT_EQ(a.eviction_count(), 0u);
-}
-
-TEST(LruChainTest, ProcessBlockEqualsPerReferenceLoop) {
-  ZipfWorkload w(400, 0.8, 21);
-  const auto trace = generate_trace(w, 10000);
-  LruChainAnalyzer batched;
-  batched.process_block(trace);
-  batched.finish();
-  LruChainAnalyzer looped;
-  for (Addr z : trace) looped.process(z);
-  looped.finish();
-  EXPECT_TRUE(batched.histogram() == looped.histogram());
-  const EngineStats a = batched.stats();
-  const EngineStats b = looped.stats();
-  EXPECT_EQ(a.references, b.references);
-  EXPECT_EQ(a.finite, b.finite);
-  EXPECT_EQ(a.infinities, b.infinities);
-  EXPECT_EQ(a.hash_probes, b.hash_probes);  // prefetch must not count
-  EXPECT_EQ(a.marker_hops, b.marker_hops);
-  EXPECT_EQ(a.peak_footprint, b.peak_footprint);
-}
-
-TEST(LruChainTest, OlkenProcessBlockEqualsPerReferenceLoop) {
-  UniformRandomWorkload w(512, 17);
-  const auto trace = generate_trace(w, 8000);
-  OlkenAnalyzer<SplayTree> batched;
-  batched.process_block(trace);
-  batched.finish();
-  OlkenAnalyzer<SplayTree> looped;
-  for (Addr z : trace) looped.process(z);
-  looped.finish();
-  EXPECT_TRUE(batched.histogram() == looped.histogram());
-  EXPECT_EQ(batched.stats().hash_probes, looped.stats().hash_probes);
-}
-
-TEST(LruChainTest, BennettKruskalProcessBlockEqualsPerReferenceLoop) {
-  UniformRandomWorkload w(512, 31);
-  const auto trace = generate_trace(w, 8000);
-  BennettKruskalAnalyzer batched;
-  batched.process_block(std::span<const Addr>(trace).first(5000));
-  batched.process_block(std::span<const Addr>(trace).subspan(5000));
-  batched.finish();
-  BennettKruskalAnalyzer looped;
-  for (Addr z : trace) looped.process(z);
-  looped.finish();
-  EXPECT_TRUE(batched.histogram() == looped.histogram());
-  EXPECT_EQ(batched.stats().hash_probes, looped.stats().hash_probes);
-}
-
-TEST(LruChainTest, IntervalProcessBlockEqualsPerReferenceLoop) {
-  UniformRandomWorkload w(512, 23);
-  const auto trace = generate_trace(w, 8000);
-  IntervalAnalyzer batched;
-  batched.process_block(trace);
-  batched.finish();
-  IntervalAnalyzer looped;
-  for (Addr z : trace) looped.process(z);
-  looped.finish();
-  EXPECT_TRUE(batched.histogram() == looped.histogram());
-  EXPECT_EQ(batched.stats().hash_probes, looped.stats().hash_probes);
-}
-
-TEST(LruChainTest, BoundedProcessBlockEqualsPerReferenceLoop) {
-  UniformRandomWorkload w(512, 29);
-  const auto trace = generate_trace(w, 8000);
-  BoundedAnalyzer<SplayTree> batched(32);
-  batched.process_block(trace);
-  batched.finish();
-  BoundedAnalyzer<SplayTree> looped(32);
-  for (Addr z : trace) looped.process(z);
-  looped.finish();
-  EXPECT_TRUE(batched.histogram() == looped.histogram());
-  EXPECT_EQ(batched.stats().evictions, looped.stats().evictions);
 }
 
 TEST(LruChainTest, StatsAndMarkerHops) {

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <vector>
 
+#include "seq/approx.hpp"
+#include "seq/bennett_kruskal.hpp"
 #include "seq/bounded.hpp"
+#include "seq/fixed_size_sampler.hpp"
+#include "seq/lru_chain.hpp"
 #include "seq/naive.hpp"
 #include "seq/olken.hpp"
 #include "tree/avl_tree.hpp"
-#include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
 #include "workload/generators.hpp"
@@ -47,7 +51,7 @@ TEST(NaiveStackTest, RepeatedSingleAddress) {
 template <typename Tree>
 class OlkenEngineTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<SplayTree, AvlTree, Treap, VectorTree>;
+using Engines = ::testing::Types<SplayTree, AvlTree, VectorTree>;
 TYPED_TEST_SUITE(OlkenEngineTest, Engines);
 
 TYPED_TEST(OlkenEngineTest, Table1Example) {
@@ -162,6 +166,71 @@ TEST(BoundedAnalyzerTest, BoundOneOnlyCountsImmediateReuse) {
   const Histogram h = bounded_analysis(trace, 1);
   EXPECT_EQ(h.at(0), 3u);  // 1@1, 2@3, 2@4
   EXPECT_EQ(h.infinities(), 3u);
+}
+
+// --- One batched surface -----------------------------------------------------
+
+/// A fresh engine of each ReuseAnalyzer type, configured so its
+/// interesting paths run on a 512-address trace: the bounded engines
+/// evict, the samplers drop references.
+template <typename A>
+A make_engine() {
+  return A();
+}
+template <>
+LruChainAnalyzer make_engine() {
+  return LruChainAnalyzer(100);
+}
+template <>
+BoundedAnalyzer<SplayTree> make_engine() {
+  return BoundedAnalyzer<SplayTree>(32);
+}
+template <>
+ApproxAnalyzer make_engine() {
+  return ApproxAnalyzer(0.25, 7);
+}
+template <>
+FixedSizeSampler make_engine() {
+  return FixedSizeSampler(64);
+}
+
+template <typename A>
+class ProcessBlockTest : public ::testing::Test {};
+
+using Analyzers =
+    ::testing::Types<LruChainAnalyzer, OlkenAnalyzer<SplayTree>,
+                     BennettKruskalAnalyzer, BoundedAnalyzer<SplayTree>,
+                     NaiveStackAnalyzer, ApproxAnalyzer, FixedSizeSampler>;
+TYPED_TEST_SUITE(ProcessBlockTest, Analyzers);
+
+// process_block(b) must equal process(z) for each z of b in order — in
+// the histogram and in every structural counter (the hash probes a block
+// prefetches must not be counted). Two blocks cover a resumed batch.
+TYPED_TEST(ProcessBlockTest, EqualsPerReferenceLoop) {
+  static_assert(ReuseAnalyzer<TypeParam>);
+  UniformRandomWorkload w(512, 29);
+  const auto trace = generate_trace(w, 8000);
+  TypeParam batched = make_engine<TypeParam>();
+  batched.process_block(std::span<const Addr>(trace).first(5000));
+  batched.process_block(std::span<const Addr>(trace).subspan(5000));
+  batched.finish();
+  TypeParam looped = make_engine<TypeParam>();
+  for (Addr z : trace) looped.process(z);
+  looped.finish();
+
+  EXPECT_TRUE(batched.histogram() == looped.histogram());
+  const EngineStats a = batched.stats();
+  const EngineStats b = looped.stats();
+  EXPECT_EQ(a.references, trace.size());
+  EXPECT_EQ(b.references, trace.size());
+  EXPECT_EQ(a.finite, b.finite);
+  EXPECT_EQ(a.infinities, b.infinities);
+  EXPECT_EQ(a.hash_probes, b.hash_probes);
+  EXPECT_EQ(a.tree_rotations, b.tree_rotations);
+  EXPECT_EQ(a.tree_splays, b.tree_splays);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.marker_hops, b.marker_hops);
+  EXPECT_EQ(a.peak_footprint, b.peak_footprint);
 }
 
 }  // namespace

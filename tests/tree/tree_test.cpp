@@ -1,7 +1,7 @@
 // Typed tests run every order-statistic engine against the same contract,
 // plus randomized cross-checks against the sorted-vector oracle. Tests
-// whose keys only ascend cover all five engines; FenwickWindow requires
-// ascending inserts, so the arbitrary-order tests cover the four BSTs and
+// whose keys only ascend cover all four engines; FenwickWindow requires
+// ascending inserts, so the arbitrary-order tests cover the three BSTs and
 // the window has its own tests below.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "tree/fenwick.hpp"
 #include "tree/order_stat_tree.hpp"
 #include "tree/splay_tree.hpp"
-#include "tree/treap.hpp"
 #include "tree/vector_tree.hpp"
 #include "util/prng.hpp"
 
@@ -26,7 +25,7 @@ class OrderStatTreeTest : public ::testing::Test {
 };
 
 using Engines =
-    ::testing::Types<SplayTree, AvlTree, Treap, VectorTree, FenwickWindow>;
+    ::testing::Types<SplayTree, AvlTree, VectorTree, FenwickWindow>;
 TYPED_TEST_SUITE(OrderStatTreeTest, Engines);
 
 template <typename T>
@@ -35,7 +34,7 @@ class AnyKeyOrderTreeTest : public ::testing::Test {
   T tree_;
 };
 
-using BstEngines = ::testing::Types<SplayTree, AvlTree, Treap, VectorTree>;
+using BstEngines = ::testing::Types<SplayTree, AvlTree, VectorTree>;
 TYPED_TEST_SUITE(AnyKeyOrderTreeTest, BstEngines);
 
 TYPED_TEST(OrderStatTreeTest, EmptyTree) {
