@@ -26,6 +26,7 @@
 // analysis, invalid exposition format), 2 usage error (bad flag or
 // argument).
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -479,6 +480,13 @@ int run_tool(int argc, char** argv) {
     if (cli.positionals().empty()) usage_error("analyze: missing trace path");
     if (procs == 0) usage_error("analyze: --procs must be positive");
     if (stream && chunk == 0) usage_error("analyze: --chunk must be positive");
+    if (ingest == IngestMode::kPipe && chunk > SIZE_MAX / procs) {
+      // A phase is --procs chunks read as one block: its size must fit.
+      usage_error("analyze: --chunk=%llu times --procs=%llu overflows the "
+                  "phase size",
+                  static_cast<unsigned long long>(chunk),
+                  static_cast<unsigned long long>(procs));
+    }
     if (stream && pipe_words == 0) {
       usage_error("analyze: --pipe must be positive");
     }

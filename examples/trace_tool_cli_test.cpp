@@ -69,6 +69,17 @@ TEST_F(TraceToolCliTest, SequentialEngineWithStreamIsUsageError) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --stream"), 2);
 }
 
+TEST_F(TraceToolCliTest, ChunkTimesProcsOverflowIsUsageError) {
+  // 2^62 words per chunk times 4 ranks wraps the phase size to 0, which
+  // would read no block and report an empty trace.
+  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --procs=4 "
+                "--chunk=4611686018427387904"),
+            2);
+  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --procs=4 "
+                "--chunk=4611686018427387904"),
+            2);
+}
+
 TEST_F(TraceToolCliTest, BoundOnUnboundedOnlyEngineIsUsageError) {
   EXPECT_EQ(run("analyze trace_cli_test.trc --engine=fenwick --bound=64"), 2);
 }

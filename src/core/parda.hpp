@@ -7,15 +7,17 @@
 //    space-optimized merge of Algorithm 4 and the cache bound of
 //    Algorithm 7).
 //  - streaming sources (a TracePipe fed by a concurrent producer): online
-//    multi-phase analysis (Algorithms 5-6 with the rank-reversal
-//    optimization), reproducing the Figure 3 framework: producer -> pipe
-//    -> rank 0 -> scatter -> ranks -> merge -> reduce.
+//    multi-phase analysis (Algorithms 5-6, with the state reduced onto
+//    rank 0 by appending the other ranks' newer exports), reproducing the
+//    Figure 3 framework: producer -> pipe -> rank 0 -> scatter -> ranks ->
+//    merge -> reduce.
 //
 // Both return the histogram plus per-rank work statistics (used for
 // critical-path scaling reports). core::AnalysisSession wraps the driver
 // for callers that hold a long-lived runtime or analyze files.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "comm/comm.hpp"
@@ -76,27 +78,27 @@ Histogram reduce_histogram(comm::Comm& comm, const Histogram& mine, int root);
 
 namespace detail {
 
-/// The merge stage driven at virtual rank v of np: runs the remaining
-/// np - v rounds of Algorithm 3's while-loop after the rank has processed
-/// its own chunk. phys_of maps virtual to physical ranks (identity in the
-/// offline algorithm; phase-reversed when streaming).
-template <OrderStatTree Tree, typename PhysOf>
-void run_merge_rounds(comm::Comm& comm, RankState<Tree>& state, int virt,
-                      PhysOf&& phys_of, std::uint64_t* forwarded = nullptr) {
+/// The merge stage driven at rank p of np: runs the remaining np - p
+/// rounds of Algorithm 3's while-loop after the rank has processed its own
+/// chunk, sending to p-1 and receiving from p+1.
+template <OrderStatTree Tree>
+void run_merge_rounds(comm::Comm& comm, RankState<Tree>& state,
+                      std::uint64_t* forwarded = nullptr) {
   const int np = comm.size();
-  for (int round = 0; round < np - virt; ++round) {
-    if (virt > 0) {
+  const int me = comm.rank();
+  for (int round = 0; round < np - me; ++round) {
+    if (me > 0) {
       std::vector<InfRecord> outgoing = state.take_local_infinities();
       if (forwarded != nullptr) *forwarded += outgoing.size();
       // Zero-copy: the record list is moved into the message and the
       // receiving rank processes it in place through a View.
-      comm.send(phys_of(virt - 1), kTagInfinities, std::move(outgoing));
+      comm.send(me - 1, kTagInfinities, std::move(outgoing));
     } else {
       state.flush_global_infinities();
     }
-    if (virt < np - 1 && round < np - virt - 1) {
+    if (me < np - 1 && round < np - me - 1) {
       const comm::View<InfRecord> incoming =
-          comm.recv_view<InfRecord>(phys_of(virt + 1), kTagInfinities);
+          comm.recv_view<InfRecord>(me + 1, kTagInfinities);
       state.process_incoming(incoming.span());
     }
   }
@@ -164,9 +166,7 @@ void offline_rank_body(comm::Comm& comm, const RankView& view,
 
   {
     obs::SpanScope span("infinity-pipeline");
-    detail::run_merge_rounds(comm, state, comm.rank(),
-                             [](int virt) { return virt; },
-                             &profile.records_forwarded);
+    detail::run_merge_rounds(comm, state, &profile.records_forwarded);
   }
   profile.records_received = state.received_count();
   profile.hits_resolved = state.hist().finite_total();
@@ -187,8 +187,8 @@ void offline_rank_body(comm::Comm& comm, const RankView& view,
 }
 
 /// The per-rank body of the streaming algorithm (Algorithms 5-6): phase
-/// intake + scatter, chunk processing, merge rounds on the virtual
-/// topology, state reduction with rank reversal.
+/// intake + scatter, chunk processing, merge rounds, and state reduction
+/// onto rank 0, which keeps the global state across phases.
 template <OrderStatTree Tree>
 void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
                       const PardaOptions& options, Histogram& result,
@@ -198,13 +198,6 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
   RankState<Tree> state(options.bound, /*space_optimized=*/true);
   RankProfile profile;
   const int me = comm.rank();
-  bool reversed = false;  // virtual<->physical map flips every phase
-  const auto phys_of = [&](int virt) {
-    return reversed ? np - 1 - virt : virt;
-  };
-  const auto virt_of = [&](int phys) {
-    return reversed ? np - 1 - phys : phys;
-  };
   Timestamp phase_base = 0;
   std::uint32_t phase_no = 0;
 
@@ -216,9 +209,9 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
     obs::ScopedThreadPhase phase_scope(phase_no);
     // --- Phase intake: rank 0 reads ONE block from the pipe and
     // scatters per-rank (offset, count) views of it — the block is never
-    // copied again, regardless of np (slices are indexed by physical
-    // rank via the virtual mapping). The span is recorded manually
-    // because phase_words and the chunk view outlive this section.
+    // copied again, regardless of np (slice r is rank r's chunk). The
+    // span is recorded manually because phase_words and the chunk view
+    // outlive this section.
     const std::int64_t scatter_t0 =
         obs::enabled() ? obs::tracer().now_ns() : -1;
     std::vector<Addr> block;
@@ -228,11 +221,10 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
       block = pipe.read_words(chunk * static_cast<std::size_t>(np));
       header = {block.size()};
       slices.resize(static_cast<std::size_t>(np));
-      for (int v = 0; v < np; ++v) {
-        const std::size_t lo = std::min(static_cast<std::size_t>(v) * chunk,
-                                        block.size());
+      for (std::size_t r = 0; r < slices.size(); ++r) {
+        const std::size_t lo = std::min(r * chunk, block.size());
         const std::size_t hi = std::min(lo + chunk, block.size());
-        slices[static_cast<std::size_t>(phys_of(v))] = {lo, hi - lo};
+        slices[r] = {lo, hi - lo};
       }
     }
     const std::uint64_t phase_words =
@@ -248,9 +240,7 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
     if (phase_words == 0) break;
 
     // --- Chunk processing (Algorithm 7 / modified stack_dist).
-    const int virt = virt_of(me);
-    const Timestamp my_base =
-        phase_base + static_cast<Timestamp>(virt) * chunk;
+    const Timestamp my_base = phase_base + static_cast<Timestamp>(me) * chunk;
     {
       obs::SpanScope span("analyze", phase_no);
       state.begin_merge_stage();
@@ -259,37 +249,29 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
     profile.chunk_refs += mine.size();
     ++profile.phases;
 
-    // --- Merge rounds (Algorithm 3's loop on virtual topology).
+    // --- Merge rounds (Algorithm 3's loop).
     {
       obs::SpanScope span("infinity-pipeline", phase_no);
-      detail::run_merge_rounds(comm, state, virt, phys_of,
-                               &profile.records_forwarded);
+      detail::run_merge_rounds(comm, state, &profile.records_forwarded);
     }
     profile.records_received += state.received_count();
 
-    // --- State reduction onto virtual np-1 (Algorithm 6): the exported
-    // state moves into the message; the holder merges the views in
-    // virtual-rank order, which is reference order.
+    // --- State reduction onto rank 0 (Algorithm 6): each other rank's
+    // exported state moves into the message, and rank 0 appends the views
+    // in rank order, which is reference order. Rank 0's own state never
+    // moves, so a phase moves O(np*C) entries however large the state.
     {
       obs::SpanScope span("reduce", phase_no);
-      const int holder_phys = phys_of(np - 1);
-      if (virt != np - 1) {
-        comm.send(holder_phys, kTagState, state.export_state());
+      if (me != 0) {
+        comm.send(0, kTagState, state.export_state());
       } else {
-        std::vector<comm::View<InfRecord>> views;
-        std::vector<std::span<const InfRecord>> older;
-        views.reserve(static_cast<std::size_t>(np - 1));
-        older.reserve(static_cast<std::size_t>(np - 1));
-        for (int v = 0; v < np - 1; ++v) {
-          views.push_back(comm.recv_view<InfRecord>(phys_of(v), kTagState));
-          older.push_back(views.back().span());
+        for (int r = 1; r < np; ++r) {
+          state.append_state(comm.recv_view<InfRecord>(r, kTagState).span());
         }
-        state.merge_state(older);
       }
     }
 
     phase_base += phase_words;
-    reversed = !reversed;  // the holder is virtual rank 0 next phase
     ++phase_no;
     if (phase_words < chunk * static_cast<std::uint64_t>(np)) {
       // Short phase: the pipe is exhausted; everyone agrees because
@@ -328,11 +310,11 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
 /// and resolve cross-chunk reuses through the local-infinity pipeline.
 ///
 /// Streaming sources run Algorithms 5-6: rank 0 drains the pipe in phases
-/// of np*C references and scatters per-virtual-rank chunks; after each
-/// phase all resident state is reduced onto the virtual rank np-1, which
-/// becomes virtual rank 0 of the next phase (rank reversal), so the global
-/// state never travels. This requires space optimization (the reduce step
-/// relies on the disjoint-residency property of Algorithm 4).
+/// of np*C references and scatters per-rank chunks; after each phase ranks
+/// 1..np-1 send their resident state to rank 0, which appends it after its
+/// own, so the global state never travels. This requires space
+/// optimization (the reduce step relies on the disjoint-residency property
+/// of Algorithm 4), and chunk_words * num_procs must fit in size_t.
 ///
 /// The source must stay alive for the call (rank views alias its
 /// storage) and may be reused across calls; ChunkedTrzSource keeps its
@@ -347,6 +329,10 @@ PardaResult parda_analyze(comm::WorkerPool& pool, TraceSource& source,
     source.partition(np);
   } else {
     PARDA_CHECK(options.chunk_words >= 1);
+    PARDA_CHECK_MSG(
+        options.chunk_words <= SIZE_MAX / static_cast<std::size_t>(np),
+        "chunk_words %zu times %d ranks overflows size_t",
+        options.chunk_words, np);
     PARDA_CHECK(options.space_optimized);
   }
   Histogram result;

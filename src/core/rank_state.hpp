@@ -69,13 +69,11 @@ class RankState {
   /// parallel histogram equal the bounded sequential one bit for bit.
   void process_own(Addr z, Timestamp ts) {
     if (const Timestamp* last = table_.find(z)) {
-      Distance d = tree_.count_greater(*last);
+      const Distance d = tree_.count_greater(*last);
       tree_.erase(*last);
-      // The tree can transiently exceed B entries (a phase-holder rank
-      // carries up to B inherited entries plus its chunk's misses), so a
-      // hit may resolve a distance >= B; under the bound that reference is
-      // a capacity miss.
-      if (bound_ != kUnbounded && d >= bound_) d = kInfiniteDistance;
+      // The tree never holds more than B entries (a miss evicts at B, and
+      // append_state trims to B), so a local hit is always below the bound.
+      PARDA_DCHECK(bound_ == kUnbounded || d < bound_);
       hist_.record(d);
     } else {
       if (bound_ != kUnbounded && table_.size() >= bound_) {
@@ -158,7 +156,7 @@ class RankState {
 
   /// Serializes the resident set for the phase reduction (Algorithm 6) in
   /// ascending tick order, leaving this rank empty. Each record's ts is its
-  /// local tick; the merge relies on record order only.
+  /// local tick; append_state relies on record order only.
   std::vector<InfRecord> export_state() {
     std::vector<InfRecord> out;
     out.reserve(tree_.size());
@@ -170,33 +168,24 @@ class RankState {
     return out;
   }
 
-  /// Algorithm 6 at the phase holder: rebuilds this rank's state from the
-  /// other ranks' exports, given in virtual-rank order, followed by its own
-  /// entries. That concatenation is already in reference order: every
-  /// virtual rank's entries were last referenced in its chunk (or, for
-  /// virtual rank 0, before the phase), and each export is tick-ordered.
-  /// With a bound only the B newest entries are kept — anything older has
-  /// >= B distinct successors and can never be hit again. The survivors
-  /// take dense ticks from 0. With space optimization the address sets are
-  /// disjoint (paper Section IV-C), so no duplicate check is needed —
-  /// PARDA_DCHECK guards that claim in debug builds.
-  void merge_state(std::span<const std::span<const InfRecord>> older) {
-    const std::vector<InfRecord> own = export_state();
-    std::size_t total = own.size();
-    for (const auto& part : older) total += part.size();
-    std::size_t skip =
-        bound_ != kUnbounded && total > bound_ ? total - bound_ : 0;
-    table_.reserve(total - skip);
-    const auto append = [&](std::span<const InfRecord> part) {
-      const std::size_t dropped = std::min(skip, part.size());
-      skip -= dropped;
-      for (const InfRecord& rec : part.subspan(dropped)) {
-        PARDA_DCHECK(!table_.contains(rec.addr));
-        push_newest(rec.addr);
+  /// Algorithm 6 at rank 0: appends another rank's export as the newest
+  /// entries. Called once per rank 1..np-1 in rank order after each phase,
+  /// this keeps the whole state in reference order: every export was last
+  /// referenced in its rank's chunk, later than anything rank 0 holds, and
+  /// each export is tick-ordered. With space optimization the address sets
+  /// are disjoint (paper Section IV-C), so no duplicate check is needed —
+  /// PARDA_DCHECK guards that claim in debug builds. With a bound, each
+  /// append first evicts the oldest entry once B are resident, so the B
+  /// newest survive — anything older has >= B distinct successors and can
+  /// never be hit again.
+  void append_state(std::span<const InfRecord> newer) {
+    for (const InfRecord& rec : newer) {
+      PARDA_DCHECK(!table_.contains(rec.addr));
+      if (bound_ != kUnbounded && tree_.size() >= bound_) {
+        table_.erase(tree_.pop_oldest().addr);
       }
-    };
-    for (const auto& part : older) append(part);
-    append(own);
+      push_newest(rec.addr);
+    }
     note_resident();
   }
 

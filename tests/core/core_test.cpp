@@ -254,9 +254,9 @@ class RankStateTreeTest : public ::testing::Test {};
 using RankTrees = ::testing::Types<SplayTree, FenwickWindow>;
 TYPED_TEST_SUITE(RankStateTreeTest, RankTrees);
 
-TYPED_TEST(RankStateTreeTest, ExportImportRoundTrip) {
-  // Algorithm 6 at the holder: a's chunk precedes b's, so a's exported
-  // state is older than b's own entries.
+TYPED_TEST(RankStateTreeTest, AppendPlacesExportAfterOwnEntries) {
+  // Algorithm 6 at rank 0: b's chunk follows a's, so b's exported state is
+  // newer than a's own entries and lands after them.
   RankState<TypeParam> a;
   a.process_own(10, 0);
   a.process_own(20, 1);
@@ -264,40 +264,44 @@ TYPED_TEST(RankStateTreeTest, ExportImportRoundTrip) {
   RankState<TypeParam> b;
   b.process_own(30, 2);
   b.take_local_infinities();
-  const std::vector<InfRecord> exported = a.export_state();
-  EXPECT_EQ(a.resident(), 0u);
-  const std::span<const InfRecord> older[] = {exported};
-  b.merge_state(older);
-  EXPECT_EQ(b.resident(), 3u);
-  EXPECT_EQ(resident_addrs(b), (std::vector<Addr>{10, 20, 30}));
-  // b can now resolve reuses of a's addresses.
-  b.process_incoming(std::vector<InfRecord>{{10, 50}});
-  EXPECT_EQ(b.hist().at(2), 1u);  // 20 and 30 intervene
+  const std::vector<InfRecord> exported = b.export_state();
+  EXPECT_EQ(b.resident(), 0u);
+  a.append_state(exported);
+  EXPECT_EQ(a.resident(), 3u);
+  EXPECT_EQ(resident_addrs(a), (std::vector<Addr>{10, 20, 30}));
+  EXPECT_TRUE(a.tree().validate());
+  // a now resolves reuses of b's addresses, and of its own older ones.
+  a.process_incoming(std::vector<InfRecord>{{30, 50}});
+  EXPECT_EQ(a.hist().at(0), 1u);
+  a.process_incoming(std::vector<InfRecord>{{10, 51}});
+  EXPECT_EQ(a.hist().at(2), 1u);  // 20 and 30 intervene
 }
 
-TYPED_TEST(RankStateTreeTest, BoundedMergeKeepsTheBNewest) {
-  // Two older exports (virtual ranks 0 and 1) and the holder's own two
-  // entries: five in reference order 1..5, of which B = 4 survive — the
-  // cut falls inside the first export.
+TYPED_TEST(RankStateTreeTest, BoundedAppendTrimsToTheBNewest) {
+  // Rank 0 holds 1, 2, 3 and appends two exports, {4, 5} then {6}: six in
+  // reference order 1..6, of which B = 4 survive. Each append cuts into
+  // rank 0's own entries.
   RankState<TypeParam> state(/*bound=*/4, /*space_optimized=*/true);
-  state.process_own(4, 40);
-  state.process_own(5, 41);
+  state.process_own(1, 0);
+  state.process_own(2, 1);
+  state.process_own(3, 2);
   state.take_local_infinities();
-  const std::vector<InfRecord> v0{{1, 0}, {2, 1}};
-  const std::vector<InfRecord> v1{{3, 0}};
-  const std::span<const InfRecord> older[] = {v0, v1};
-  state.merge_state(older);
-  EXPECT_EQ(state.resident(), 4u);
+  state.append_state(std::vector<InfRecord>{{4, 0}, {5, 1}});
   EXPECT_EQ(resident_addrs(state), (std::vector<Addr>{2, 3, 4, 5}));
+  state.append_state(std::vector<InfRecord>{{6, 0}});
+  EXPECT_EQ(state.resident(), 4u);
+  EXPECT_EQ(resident_addrs(state), (std::vector<Addr>{3, 4, 5, 6}));
   EXPECT_EQ(state.table().size(), 4u);
   EXPECT_FALSE(state.table().contains(1));
+  EXPECT_FALSE(state.table().contains(2));
   EXPECT_TRUE(state.tree().validate());
-  // Address 2 (the oldest kept) hits at distance 3; address 1 (dropped)
+  EXPECT_EQ(state.peak_resident(), 4u);
+  // Address 3 (the oldest kept) hits at distance 3; address 2 (trimmed)
   // now misses.
   state.begin_merge_stage();
-  state.process_incoming(std::vector<InfRecord>{{2, 50}});
-  EXPECT_EQ(state.hist().at(3), 1u);  // 3, 4 and 5 intervene
-  state.process_incoming(std::vector<InfRecord>{{1, 51}});
+  state.process_incoming(std::vector<InfRecord>{{3, 50}});
+  EXPECT_EQ(state.hist().at(3), 1u);  // 4, 5 and 6 intervene
+  state.process_incoming(std::vector<InfRecord>{{2, 51}});
   EXPECT_EQ(state.pending_infinities(), 1u);
 }
 

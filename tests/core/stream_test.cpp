@@ -3,6 +3,7 @@
 // every phase size, rank count, and cache bound.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -99,7 +100,8 @@ TEST(StreamTest, SinglePhaseWholeTrace) {
 }
 
 TEST(StreamTest, ManyTinyPhases) {
-  // Phases of np*C = 6 references stress the rank-reversal reduction.
+  // Phases of np*C = 6 references stress the per-phase state reduction
+  // onto rank 0.
   const auto trace = stream_trace(1000, 5);
   PardaOptions options;
   options.num_procs = 3;
@@ -211,6 +213,59 @@ TEST(StreamTest, StreamingScatterCopiesEachBlockOnce) {
   // and state handoffs) moves as shared or moved buffers.
   EXPECT_GE(result.stats.total_bytes_shared(), trace_bytes / 2)
       << "shared=" << result.stats.total_bytes_shared();
+}
+
+TEST(StreamTest, StateReductionMovesOnlyThePhasesNewEntries) {
+  // Algorithm 6 keeps the global state on rank 0 and appends the other
+  // ranks' exports, so a phase moves at most (np-1)*C state records no
+  // matter how large the resident set grows. A footprint of at least
+  // 10 * np*C distinct addresses makes any O(resident) reduction overrun
+  // the bound many times over.
+  const int np = 4;
+  const std::size_t chunk = 256;
+  ZipfWorkload w(40000, 0.5, 9);
+  const std::vector<Addr> trace = generate_trace(w, 60000);
+  const Histogram expected = olken_analysis(trace);
+  ASSERT_GE(expected.infinities(), 10 * np * chunk);  // distinct addresses
+
+  PardaOptions options;
+  options.num_procs = np;
+  options.chunk_words = chunk;
+  const PardaResult result = run_streamed(trace, options, 4096, 1000);
+  ASSERT_TRUE(result.hist == expected);
+  ASSERT_EQ(result.profiles.size(), static_cast<std::size_t>(np));
+
+  // Everything else the run sends, counted exactly or bounded above: the
+  // scattered chunks, the forwarded local infinities, one histogram per
+  // non-root rank, and the phase headers and profiles.
+  const std::uint64_t ranks = np;
+  std::uint64_t forwarded = 0;
+  for (const RankProfile& p : result.profiles) {
+    forwarded += p.records_forwarded;
+  }
+  const std::uint64_t phases = result.profiles[0].phases;
+  const std::uint64_t hist_bytes =
+      (ranks - 1) * sizeof(std::uint64_t) * (4 + result.hist.max_distance());
+  const std::uint64_t control =
+      phases * ranks * sizeof(std::uint64_t) + ranks * sizeof(RankProfile);
+  const std::uint64_t other = trace.size() * sizeof(Addr) +
+                              forwarded * sizeof(InfRecord) + hist_bytes +
+                              control;
+  const std::uint64_t state_bound =
+      phases * (ranks - 1) * chunk * sizeof(InfRecord);
+  EXPECT_LE(result.stats.total_bytes(), other + state_bound)
+      << "phases=" << phases << " other=" << other
+      << " state_bound=" << state_bound;
+}
+
+TEST(StreamTest, ChunkTimesRanksOverflowIsRejected) {
+  // np*C sizes the phase block; a product that wraps would read nothing.
+  TracePipe pipe(64);
+  pipe.close();
+  PardaOptions options;
+  options.num_procs = 4;
+  options.chunk_words = SIZE_MAX / 2;
+  EXPECT_THROW(run_parda_pipe(pipe, options), CheckError);
 }
 
 TEST(StreamTest, CrossPhaseReuseResolved) {
