@@ -149,13 +149,9 @@ void World::init(int np) {
   PARDA_CHECK(np >= 1);
   rounds_ = np > 1 ? std::bit_width(static_cast<unsigned>(np - 1)) : 0;
   mailboxes_.reserve(static_cast<std::size_t>(np));
-  barrier_.reserve(static_cast<std::size_t>(np));
   boards_.reserve(static_cast<std::size_t>(np));
   for (int i = 0; i < np; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>(np));
-    auto peer = std::make_unique<BarrierPeer>();
-    peer->signals.assign(static_cast<std::size_t>(rounds_), 0);
-    barrier_.push_back(std::move(peer));
     boards_.push_back(std::make_unique<RankBoard>());
   }
 }
@@ -172,50 +168,13 @@ void World::route(int src, int dst, Message&& msg) {
 }
 
 void World::barrier(int rank, const OpDeadline& deadline) {
-  if (transport_ != nullptr) {
-    message_barrier(rank, deadline);
-    return;
-  }
-  BarrierPeer& me = *barrier_[static_cast<std::size_t>(rank)];
-  // generation is only ever written by the owning rank's thread.
-  const std::uint64_t gen = ++me.generation;
-  for (int k = 0; k < rounds_; ++k) {
-    const int partner = (rank + (1 << k)) % np_;
-    BarrierPeer& peer = *barrier_[static_cast<std::size_t>(partner)];
-    {
-      std::lock_guard lock(peer.mu);
-      ++peer.signals[static_cast<std::size_t>(k)];
-    }
-    peer.cv.notify_one();
-    std::unique_lock lock(me.mu);
-    const auto ready = [&] {
-      return me.poisoned ||
-             me.signals[static_cast<std::size_t>(k)] >= gen;
-    };
-    if (deadline.has_value()) {
-      if (!me.cv.wait_until(lock, *deadline, ready)) {
-        throw DeadlineExceededError(
-            "barrier deadline exceeded at rank " + std::to_string(rank) +
-            " (round " + std::to_string(k) + " of " +
-            std::to_string(rounds_) + ")");
-      }
-    } else {
-      me.cv.wait(lock, ready);
-    }
-    if (me.poisoned) {
-      lock.unlock();
-      throw_aborted();
-    }
-  }
-}
-
-void World::message_barrier(int rank, const OpDeadline& deadline) {
-  // The same dissemination schedule as the cv barrier, but each round-k
-  // signal is a tagged (empty-payload) message on a reserved internal tag,
-  // so the synchronization crosses the same wire as data traffic. Tags are
-  // per-round and sources are explicit, so overlapping barrier epochs
-  // cannot confuse each other: a partner racing ahead just queues its next
-  // round-k signal behind the current one (FIFO pop consumes in order).
+  // Dissemination schedule: in round k each rank signals rank + 2^k and
+  // waits for rank - 2^k. Each signal is a tagged (empty-payload) message
+  // on a reserved internal tag, so the synchronization crosses the same
+  // wire as data traffic. Tags are per-round and sources are explicit, so
+  // overlapping barrier epochs cannot confuse each other: a partner racing
+  // ahead just queues its next round-k signal behind the current one (FIFO
+  // pop consumes in order).
   for (int k = 0; k < rounds_; ++k) {
     const int step = 1 << k;
     const int to = (rank + step) % np_;
@@ -266,13 +225,6 @@ void World::abort_impl(int origin, const std::string& cause, bool broadcast) {
   obs::flightrec_note("world.generation", std::to_string(generation_));
   obs::flightrec_dump("comm.abort: " + cause);
   for (auto& mailbox : mailboxes_) mailbox->poison();
-  for (auto& peer : barrier_) {
-    {
-      std::lock_guard lock(peer->mu);
-      peer->poisoned = true;
-    }
-    peer->cv.notify_all();
-  }
   // Local teardown first, then tell the remote ranks (no-op for
   // in-process transports). A frame that arrives back carrying this abort
   // hits the first-wins check above and is ignored.
@@ -294,12 +246,6 @@ void World::reset() {
   if (transport_ != nullptr) transport_->stop();
   ++generation_;
   for (auto& mailbox : mailboxes_) mailbox->reset();
-  for (auto& peer : barrier_) {
-    std::lock_guard lock(peer->mu);
-    peer->signals.assign(static_cast<std::size_t>(rounds_), 0);
-    peer->generation = 0;
-    peer->poisoned = false;
-  }
   for (auto& board : boards_) {
     board->op.store(0, std::memory_order_relaxed);
     board->peer.store(kAnySource, std::memory_order_relaxed);

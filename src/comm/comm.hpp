@@ -39,10 +39,10 @@
 // and tests can prove how many copies a communication pattern performs.
 //
 // Failure model (see DESIGN.md section "Failure model" and comm/fault.hpp):
-// when any rank's body throws, the World poisons every mailbox and barrier
-// peer; blocked ranks wake and throw RankAbortedError naming the originating
-// rank and cause, so run_job() unwinds cleanly on all ranks instead of
-// deadlocking. recv/barrier accept optional per-op deadlines
+// when any rank's body throws, the World poisons every mailbox; ranks
+// blocked in recv or barrier wake and throw RankAbortedError naming the
+// originating rank and cause, so run_job() unwinds cleanly on all ranks
+// instead of deadlocking. recv/barrier accept optional per-op deadlines
 // (DeadlineExceededError), a stall watchdog converts an all-ranks-blocked
 // cycle into a per-rank diagnostic dump, and a seeded FaultPlan injects
 // deterministic failures for the fault-injection test suite.
@@ -90,7 +90,7 @@ class Transport;
 
 namespace detail {
 /// Tags below kReservedTagCeiling are the runtime's own (the message-based
-/// barrier of serializing transports, and the telemetry control plane).
+/// barrier, and the telemetry control plane).
 /// They are unreachable from user code in practice and excluded from
 /// kAnyTag wildcard matching, so internal traffic can share the mailboxes
 /// without ever surfacing in a user recv.
@@ -300,8 +300,8 @@ class Mailbox {
 
   static bool tag_matches(const Message& m, int tag) noexcept {
     // Wildcards never match the runtime's reserved internal tags: barrier
-    // traffic of serializing transports shares the mailboxes but must stay
-    // invisible to user-level recv(kAnySource, kAnyTag).
+    // traffic shares the mailboxes but must stay invisible to user-level
+    // recv(kAnySource, kAnyTag).
     if (tag == kAnyTag) return m.tag >= kReservedTagCeiling;
     return m.tag == tag;
   }
@@ -339,21 +339,19 @@ class World {
   /// RankAbortedError once the run is aborted mid-wait.
   void route(int src, int dst, Message&& msg);
 
-  /// Barrier with the same contract on every transport: throws
-  /// RankAbortedError when the world is poisoned mid-wait and
-  /// DeadlineExceededError when `deadline` passes first. The threads
-  /// transport uses a dissemination barrier — ceil(log2(np)) pairwise
-  /// signalling rounds with targeted notify_one wakeups (each rank only
-  /// ever waits on its own condition variable). Serializing transports run
-  /// the same dissemination schedule as tagged messages on reserved
-  /// internal tags, so the barrier exercises (and is ordered by) the same
-  /// wire as data traffic.
+  /// Dissemination barrier, one implementation on every transport:
+  /// ceil(log2(np)) pairwise signalling rounds, each signal a tagged
+  /// (empty-payload) message on a reserved internal tag, so the barrier
+  /// crosses (and is ordered by) the same wire as data traffic; on threads
+  /// the signals land in the local mailboxes. Throws RankAbortedError when
+  /// the world is poisoned mid-wait and DeadlineExceededError when
+  /// `deadline` passes first.
   void barrier(int rank, const OpDeadline& deadline = std::nullopt);
 
   /// First failure wins: records (origin, cause), then poisons every
-  /// mailbox and barrier peer so all blocked ranks wake and throw
-  /// RankAbortedError, and (distributed worlds) broadcasts an abort
-  /// control frame so remote ranks do the same. Idempotent; later calls
+  /// mailbox so all blocked ranks wake and throw RankAbortedError, and
+  /// (distributed worlds) broadcasts an abort control frame so remote
+  /// ranks do the same. Idempotent; later calls
   /// are ignored.
   void abort(int origin, const std::string& cause);
   /// Abort on behalf of a remote rank, recorded by a transport pump when
@@ -388,9 +386,8 @@ class World {
   std::string stall_report();
 
   /// Returns the World to its just-constructed state for the next job:
-  /// mailboxes drained and unpoisoned, barrier signals rewound, rank
-  /// boards and abort state cleared — a generation bump, not a
-  /// reallocation. The caller (the WorkerPool's admitted submitter) must
+  /// mailboxes drained and unpoisoned, rank boards and abort state
+  /// cleared — a generation bump, not a reallocation. The caller (the WorkerPool's admitted submitter) must
   /// guarantee every rank thread of the previous job has unwound.
   void reset();
   /// Jobs this World has been reset for. Serializing transports stamp it
@@ -401,20 +398,6 @@ class World {
  private:
   void init(int np);
   void abort_impl(int origin, const std::string& cause, bool broadcast);
-  /// The serializing-transport barrier: the dissemination schedule as
-  /// tagged messages on reserved internal tags.
-  void message_barrier(int rank, const OpDeadline& deadline);
-  /// Per-rank barrier mailbox: signals[k] counts round-k notifications
-  /// received over the rank's lifetime (cumulative counts make sense
-  /// reversal unnecessary: in barrier generation g a rank waits for
-  /// signals[k] >= g, and signals only ever grow).
-  struct BarrierPeer {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::uint64_t> signals;
-    std::uint64_t generation = 0;  // barriers entered by the owner
-    bool poisoned = false;
-  };
 
   int np_;
   int rounds_;
@@ -422,7 +405,6 @@ class World {
   TransportSpec spec_;
   std::unique_ptr<Transport> transport_;  // null = threads (direct) path
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<BarrierPeer>> barrier_;
   std::vector<std::unique_ptr<RankBoard>> boards_;
 
   std::atomic<bool> aborted_{false};

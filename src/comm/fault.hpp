@@ -2,10 +2,10 @@
 //
 // The real Parda runs under MVAPICH, where a failed rank takes the whole
 // job down; this runtime reproduces that contract cooperatively. When any
-// rank's body throws, the World poisons every mailbox and barrier peer, so
-// ranks blocked in recv()/barrier() wake and throw RankAbortedError carrying
-// the originating rank and cause — the run unwinds cleanly on all ranks
-// instead of deadlocking. Deadlines turn an unexpected wait into a
+// rank's body throws, the World poisons every mailbox, so ranks blocked in
+// recv()/barrier() wake and throw RankAbortedError carrying the originating
+// rank and cause — the run unwinds cleanly on all ranks instead of
+// deadlocking. Deadlines turn an unexpected wait into a
 // DeadlineExceededError; the stall watchdog turns an all-ranks-blocked cycle
 // into a per-rank diagnostic dump.
 //

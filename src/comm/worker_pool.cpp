@@ -305,9 +305,9 @@ detail::World& WorkerPool::acquire_world(int np, const TransportSpec& spec) {
   const std::pair<int, std::string> key(np, spec.signature());
   auto it = worlds_.find(key);
   if (it != worlds_.end()) {
-    // Generation bump instead of reallocation: mailbox buckets, barrier
-    // peers, rank boards, and the transport's rings/sockets keep their
-    // state across jobs.
+    // Generation bump instead of reallocation: mailbox buckets, rank
+    // boards, and the transport's rings/sockets keep their state across
+    // jobs.
     it->second->reset();
     world_reuses_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) pool_counters().world_reuses.add(1);

@@ -2,10 +2,10 @@
 // a rank job.
 //
 // A one-shot runner would spawn np OS threads, build a fresh World
-// (mailboxes, barrier peers, rank boards), join everything at the end, and
-// throw it all away — so repeated analyses (bench loops, online monitoring
-// windows, many small traces) would pay thread-creation and allocation
-// churn on every call. WorkerPool keeps the thread lifecycle in a reusable
+// (mailboxes, rank boards), join everything at the end, and throw it all
+// away — so repeated analyses (bench loops, online monitoring windows,
+// many small traces) would pay thread-creation and allocation churn on
+// every call. WorkerPool keeps the thread lifecycle in a reusable
 // runtime:
 //
 //  - Worker threads are spawned once (growing on demand up to the largest
@@ -14,12 +14,12 @@
 //    no spin. Posting a job is one release increment + targeted notify per
 //    participating slot, so workers outside the job's np never wake.
 //  - Worlds are cached per (np, transport signature) and RESET between
-//    jobs (generation bump: mailboxes drained, barrier signals rewound,
-//    rank boards and abort state cleared, transport quiesced and
-//    restarted) instead of reallocated, so mailbox buckets, barrier
-//    structures, shm rings, and socket meshes keep their state across
-//    jobs. Distributed transport specs bypass the pool entirely: run_job
-//    delegates them to the inline one-rank-per-process runner.
+//    jobs (generation bump: mailboxes drained, rank boards and abort
+//    state cleared, transport quiesced and restarted) instead of
+//    reallocated, so mailbox buckets, shm rings, and socket meshes keep
+//    their state across jobs. Distributed transport specs bypass the
+//    pool entirely: run_job delegates them to the inline
+//    one-rank-per-process runner.
 //  - Jobs are admitted through a FIFO ticket queue: any number of threads
 //    may call run_job concurrently and the pool time-multiplexes them,
 //    one job at a time, in arrival order. Each job re-tags the worker

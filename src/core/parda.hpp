@@ -1,18 +1,20 @@
 // Parda: parallel reuse distance analysis (paper Algorithms 3-7).
 //
-// One entry point, parda_analyze(pool, source, options), runs one of two
-// rank bodies on a caller-owned WorkerPool, chosen by the TraceSource:
-//  - offline sources (in-memory span, mmap, chunked trz): each rank takes
-//    its own contiguous view of the trace (Algorithm 3, with the
-//    space-optimized merge of Algorithm 4 and the cache bound of
-//    Algorithm 7).
-//  - streaming sources (a TracePipe fed by a concurrent producer): online
-//    multi-phase analysis (Algorithms 5-6, with the state reduced onto
-//    rank 0 by appending the other ranks' newer exports), reproducing the
-//    Figure 3 framework: producer -> pipe -> rank 0 -> scatter -> ranks ->
-//    merge -> reduce.
+// One entry point, parda_analyze(pool, source, options), runs one rank
+// body on a caller-owned WorkerPool: the phase loop of Algorithm 5, in
+// which offline analysis (Algorithm 3) is the one-phase case.
+//  - offline sources (in-memory span, mmap, chunked trz): one phase, whose
+//    chunk is the rank's own contiguous view of the trace.
+//  - streaming sources (a TracePipe fed by a concurrent producer): a phase
+//    per np*C references, reproducing the Figure 3 framework: producer ->
+//    pipe -> rank 0 -> scatter -> ranks -> merge -> reduce.
+// Every phase runs the space-optimized merge of Algorithm 4 (or the plain
+// Algorithm 3 merge offline, on request) under the cache bound of
+// Algorithm 7; a phase that another can follow ends with Algorithm 6,
+// which reduces the state onto rank 0 by appending the other ranks' newer
+// exports.
 //
-// Both return the histogram plus per-rank work statistics (used for
+// The result is the histogram plus per-rank work statistics (used for
 // critical-path scaling reports). core::AnalysisSession wraps the driver
 // for callers that hold a long-lived runtime or analyze files.
 #pragma once
@@ -145,149 +147,90 @@ inline std::vector<RankProfile> gather_profiles(comm::Comm& comm,
   return out;
 }
 
-/// The per-rank body of the offline algorithm (one call per rank inside a
-/// comm job), over the rank's own disjoint view of the trace. The views
-/// must tile the trace contiguously in rank order with cumulative bases
-/// (a TraceSource's rank_view: equal splits for span and mmap sources,
-/// chunk-aligned ones for trz).
+/// One phase's chunk for the calling rank, from take_phase_chunk.
+struct PhaseChunk {
+  RankView view;               // the rank's references and their global base
+  comm::View<Addr> scattered;  // streaming: keeps view.refs alive
+  bool drained = false;  // the pipe was empty: the phase does not run
+  bool last = true;      // no phase can follow: skip Algorithm 6
+};
+
+/// Phase intake. An offline source is one phase whose chunk is the rank's
+/// own rank_view, pulled under an "ingest" span (for ChunkedTrzSource this
+/// is the per-rank parallel decode). A streaming source has a phase per
+/// np*C references: rank 0 reads ONE block from the pipe, broadcasts its
+/// length and scatters per-rank (offset, count) views of it, so the block
+/// is never copied again whatever np is; the "scatter" span is labelled
+/// `phase`. Every phase but the last is full, so phase p starts at global
+/// time p*np*C.
+PhaseChunk take_phase_chunk(comm::Comm& comm, TraceSource& source,
+                            std::size_t chunk_words, std::uint32_t phase);
+
+/// The per-rank body (one call per rank inside a comm job): Algorithm 5's
+/// phase loop, of which offline analysis (Algorithm 3) is the one-phase
+/// case. Each phase takes its chunk, processes it (Algorithm 7's modified
+/// stack_dist), runs the merge rounds (Algorithm 3's loop, with
+/// Algorithm 4), and, only when another phase can follow, reduces the
+/// state onto rank 0 (Algorithm 6). The histograms and profiles are then
+/// reduced onto rank 0 under "final-reduce".
 template <OrderStatTree Tree>
-void offline_rank_body(comm::Comm& comm, const RankView& view,
-                       const PardaOptions& options, Histogram& result,
-                       std::vector<RankProfile>& profiles) {
+void rank_body(comm::Comm& comm, TraceSource& source,
+               const PardaOptions& options, Histogram& result,
+               std::vector<RankProfile>& profiles) {
+  const int np = comm.size();
+  const int me = comm.rank();
+  const bool phased = !source.offline();
   RankState<Tree> state(options.bound, options.space_optimized);
   RankProfile profile;
 
-  {
-    obs::SpanScope span("analyze");
-    state.begin_merge_stage();
-    state.process_own_block(view.refs, view.base);
-  }
-  profile.chunk_refs = view.refs.size();
+  for (std::uint32_t n = 0;; ++n) {
+    // Attribute everything this thread records during a streaming phase —
+    // notably the recv-wait spans inside the comm layer — to that phase,
+    // so the SpanReport can decompose each phase into self vs blocked time
+    // per rank. The offline phase stays at kNoPhase.
+    const std::uint32_t phase = phased ? n : obs::kNoPhase;
+    obs::ScopedThreadPhase phase_scope(phase);
+    const PhaseChunk chunk =
+        take_phase_chunk(comm, source, options.chunk_words, phase);
+    if (chunk.drained) break;
 
-  {
-    obs::SpanScope span("infinity-pipeline");
-    detail::run_merge_rounds(comm, state, &profile.records_forwarded);
-  }
-  profile.records_received = state.received_count();
-  profile.hits_resolved = state.hist().finite_total();
-  profile.peak_resident = state.peak_resident();
-  detail::publish_rank_metrics(profile, state);
-
-  std::vector<RankProfile> gathered;
-  Histogram reduced;
-  {
-    obs::SpanScope span("reduce");
-    gathered = detail::gather_profiles(comm, profile);
-    reduced = reduce_histogram(comm, state.hist(), 0);
-  }
-  if (comm.rank() == 0) {
-    result = std::move(reduced);
-    profiles = std::move(gathered);
-  }
-}
-
-/// The per-rank body of the streaming algorithm (Algorithms 5-6): phase
-/// intake + scatter, chunk processing, merge rounds, and state reduction
-/// onto rank 0, which keeps the global state across phases.
-template <OrderStatTree Tree>
-void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
-                      const PardaOptions& options, Histogram& result,
-                      std::vector<RankProfile>& profiles) {
-  const int np = comm.size();
-  const std::size_t chunk = options.chunk_words;
-  RankState<Tree> state(options.bound, /*space_optimized=*/true);
-  RankProfile profile;
-  const int me = comm.rank();
-  Timestamp phase_base = 0;
-  std::uint32_t phase_no = 0;
-
-  while (true) {
-    // Attribute everything this thread records during the phase — notably
-    // the recv-wait/barrier-wait spans inside the comm layer — to
-    // phase_no, so the SpanReport can decompose each phase into self vs
-    // blocked time per rank.
-    obs::ScopedThreadPhase phase_scope(phase_no);
-    // --- Phase intake: rank 0 reads ONE block from the pipe and
-    // scatters per-rank (offset, count) views of it — the block is never
-    // copied again, regardless of np (slice r is rank r's chunk). The
-    // span is recorded manually because phase_words and the chunk view
-    // outlive this section.
-    const std::int64_t scatter_t0 =
-        obs::enabled() ? obs::tracer().now_ns() : -1;
-    std::vector<Addr> block;
-    std::vector<std::uint64_t> header;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> slices;
-    if (me == 0) {
-      block = pipe.read_words(chunk * static_cast<std::size_t>(np));
-      header = {block.size()};
-      slices.resize(static_cast<std::size_t>(np));
-      for (std::size_t r = 0; r < slices.size(); ++r) {
-        const std::size_t lo = std::min(r * chunk, block.size());
-        const std::size_t hi = std::min(lo + chunk, block.size());
-        slices[r] = {lo, hi - lo};
-      }
-    }
-    const std::uint64_t phase_words =
-        comm.broadcast(std::move(header), 0, kTagControl).at(0);
-    const comm::View<Addr> mine = comm.scatterv_view(
-        std::move(block),
-        std::span<const std::pair<std::uint64_t, std::uint64_t>>(slices), 0,
-        kTagChunk);
-    if (scatter_t0 >= 0) {
-      obs::tracer().record(scatter_t0, obs::tracer().now_ns(), "scatter",
-                           phase_no);
-    }
-    if (phase_words == 0) break;
-
-    // --- Chunk processing (Algorithm 7 / modified stack_dist).
-    const Timestamp my_base = phase_base + static_cast<Timestamp>(me) * chunk;
     {
-      obs::SpanScope span("analyze", phase_no);
+      obs::SpanScope span("analyze");
       state.begin_merge_stage();
-      state.process_own_block(mine.span(), my_base);
+      state.process_own_block(chunk.view.refs, chunk.view.base);
     }
-    profile.chunk_refs += mine.size();
-    ++profile.phases;
+    profile.chunk_refs += chunk.view.refs.size();
+    if (phased) ++profile.phases;
 
-    // --- Merge rounds (Algorithm 3's loop).
     {
-      obs::SpanScope span("infinity-pipeline", phase_no);
-      detail::run_merge_rounds(comm, state, &profile.records_forwarded);
+      obs::SpanScope span("infinity-pipeline");
+      run_merge_rounds(comm, state, &profile.records_forwarded);
     }
     profile.records_received += state.received_count();
+    if (chunk.last) break;
 
-    // --- State reduction onto rank 0 (Algorithm 6): each other rank's
+    // State reduction onto rank 0 (Algorithm 6): each other rank's
     // exported state moves into the message, and rank 0 appends the views
     // in rank order, which is reference order. Rank 0's own state never
     // moves, so a phase moves O(np*C) entries however large the state.
-    {
-      obs::SpanScope span("reduce", phase_no);
-      if (me != 0) {
-        comm.send(0, kTagState, state.export_state());
-      } else {
-        for (int r = 1; r < np; ++r) {
-          state.append_state(comm.recv_view<InfRecord>(r, kTagState).span());
-        }
+    obs::SpanScope span("reduce");
+    if (me != 0) {
+      comm.send(0, kTagState, state.export_state());
+    } else {
+      for (int r = 1; r < np; ++r) {
+        state.append_state(comm.recv_view<InfRecord>(r, kTagState).span());
       }
-    }
-
-    phase_base += phase_words;
-    ++phase_no;
-    if (phase_words < chunk * static_cast<std::uint64_t>(np)) {
-      // Short phase: the pipe is exhausted; everyone agrees because
-      // phase_words was broadcast.
-      break;
     }
   }
 
   profile.hits_resolved = state.hist().finite_total();
   profile.peak_resident = state.peak_resident();
-  detail::publish_rank_metrics(profile, state);
+  publish_rank_metrics(profile, state);
   std::vector<RankProfile> gathered;
   Histogram reduced;
   {
     obs::SpanScope span("final-reduce");
-    gathered = detail::gather_profiles(comm, profile);
+    gathered = gather_profiles(comm, profile);
     reduced = reduce_histogram(comm, state.hist(), 0);
   }
   if (me == 0) {
@@ -303,16 +246,17 @@ void stream_rank_body(comm::Comm& comm, TracePipe& pipe,
 /// sequential analysis exactly (unbounded), or the bounded sequential
 /// analysis when options.bound is set.
 ///
-/// Offline sources are partitioned once, then each rank pulls its own
-/// disjoint RankView from its own thread under an "ingest" span; for
-/// ChunkedTrzSource that call is the per-rank parallel decode, for span
-/// and mmap sources it is a zero-copy window. The ranks run Algorithm 3
-/// and resolve cross-chunk reuses through the local-infinity pipeline.
+/// Every source runs detail::rank_body. Offline sources are partitioned
+/// once, then each rank pulls its own disjoint RankView from its own
+/// thread under an "ingest" span (for ChunkedTrzSource the per-rank
+/// parallel decode, for span and mmap sources a zero-copy window) and the
+/// ranks run Algorithm 3 as a single phase.
 ///
 /// Streaming sources run Algorithms 5-6: rank 0 drains the pipe in phases
-/// of np*C references and scatters per-rank chunks; after each phase ranks
-/// 1..np-1 send their resident state to rank 0, which appends it after its
-/// own, so the global state never travels. This requires space
+/// of np*C references and scatters per-rank chunks; after each phase that
+/// another can follow, ranks 1..np-1 send their resident state to rank 0,
+/// which appends it after its own, so the global state never travels. The
+/// last (short) phase skips that reduction. This requires space
 /// optimization (the reduce step relies on the disjoint-residency property
 /// of Algorithm 4), and chunk_words * num_procs must fit in size_t.
 ///
@@ -324,8 +268,7 @@ PardaResult parda_analyze(comm::WorkerPool& pool, TraceSource& source,
                           const PardaOptions& options) {
   const int np = options.num_procs;
   PARDA_CHECK(np >= 1);
-  const bool offline = source.offline();
-  if (offline) {
+  if (source.offline()) {
     source.partition(np);
   } else {
     PARDA_CHECK(options.chunk_words >= 1);
@@ -340,18 +283,7 @@ PardaResult parda_analyze(comm::WorkerPool& pool, TraceSource& source,
   comm::RunStats stats = pool.run_job(
       np,
       [&](comm::Comm& comm) {
-        if (!offline) {
-          detail::stream_rank_body<Tree>(comm, source.pipe(), options, result,
-                                         profiles);
-          return;
-        }
-        RankView view;
-        {
-          obs::SpanScope span("ingest");
-          view = source.rank_view(comm.rank());
-        }
-        detail::offline_rank_body<Tree>(comm, view, options, result,
-                                        profiles);
+        detail::rank_body<Tree>(comm, source, options, result, profiles);
       },
       options.run_options);
   return PardaResult{std::move(result), std::move(stats),

@@ -6,11 +6,14 @@
 //
 // Span taxonomy (see core/parda.hpp and comm/comm.hpp):
 //   sections (top level, cover a rank's phase time):
-//     "analyze"            compute on the rank's own chunk
+//     "ingest"             offline intake: the rank's view (kNoPhase)
 //     "scatter"            phase intake: pipe read + chunk distribution (IO)
+//     "analyze"            compute on the rank's own chunk
 //     "infinity-pipeline"  Algorithm 3/5 merge rounds
-//     "reduce"             per-phase state reduction (Algorithm 6)
-//     "final-reduce"       end-of-run histogram/profile reduction
+//     "reduce"             per-phase state reduction (Algorithm 6); only
+//                          between phases, never in the last one
+//     "final-reduce"       end-of-run histogram/profile reduction; ends
+//                          every run, offline or streamed (kNoPhase)
 //   waits (nested inside sections): "recv-wait", "barrier-wait"
 //
 // Attribution semantics: a rank's `total` is its section coverage, `wait`

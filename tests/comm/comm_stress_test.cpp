@@ -151,9 +151,9 @@ TEST(CommStressTest, DisseminationBarrierOddRankCounts) {
 }
 
 TEST(CommStressTest, BarriersInterleavedWithWildcardTraffic) {
-  // Barrier signals and message traffic share the per-rank notification
-  // machinery; hammer both at once and check nothing is lost or
-  // misordered across the barrier edges.
+  // Barrier signals and message traffic share the per-rank mailboxes;
+  // hammer both at once and check nothing is lost or misordered across
+  // the barrier edges.
   WorkerPool pool;
   const int np = 5;
   pool.run_job(np, [&](Comm& comm) {

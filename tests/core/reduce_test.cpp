@@ -65,7 +65,9 @@ TEST(ReduceHistogramTest, EmptyHistograms) {
   comm::WorkerPool pool;
   pool.run_job(4, [](comm::Comm& comm) {
     const Histogram total = reduce_histogram(comm, Histogram{}, 0);
-    if (comm.rank() == 0) EXPECT_EQ(total.total(), 0u);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(total.total(), 0u);
+    }
   });
 }
 
@@ -109,7 +111,9 @@ TEST(ReduceHistogramTest, MatchesSerialMerge) {
     pool.run_job(np, [&](comm::Comm& comm) {
       const Histogram total = reduce_histogram(
           comm, inputs[static_cast<std::size_t>(comm.rank())], 0);
-      if (comm.rank() == 0) EXPECT_TRUE(total == expected);
+      if (comm.rank() == 0) {
+        EXPECT_TRUE(total == expected);
+      }
     });
   }
 }

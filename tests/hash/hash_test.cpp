@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hash/addr_map.hpp"
@@ -79,7 +80,8 @@ TEST(AddrMapTest, ReserveAvoidsRehash) {
 TEST(AddrMapTest, EntriesMatchesContents) {
   AddrMap map;
   for (Addr a = 0; a < 57; ++a) map.insert_or_assign(a * 7, a);
-  auto entries = map.entries();
+  std::vector<std::pair<Addr, Timestamp>> entries;
+  map.for_each([&](Addr a, Timestamp t) { entries.emplace_back(a, t); });
   ASSERT_EQ(entries.size(), 57u);
   std::sort(entries.begin(), entries.end());
   for (std::size_t i = 0; i < entries.size(); ++i) {

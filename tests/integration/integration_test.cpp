@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -168,9 +169,10 @@ TEST(EndToEnd, PerRankStatsAreAccounted) {
 TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   // Algorithm 5 observed from the outside: a 4-rank streaming run must
   // leave behind (a) per-rank spans shaped scatter -> analyze ->
-  // infinity-pipeline -> reduce for every phase plus one final-reduce, and
-  // (b) a metrics snapshot whose engine counters agree exactly with the
-  // analysis result.
+  // infinity-pipeline -> reduce for every phase, except that the last
+  // (short) phase has no reduce because no phase follows it, plus one
+  // final-reduce, and (b) a metrics snapshot whose engine counters agree
+  // exactly with the analysis result.
   obs::registry().reset_values();
   obs::tracer().clear();
   obs::set_enabled(true);
@@ -212,6 +214,7 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   const std::uint32_t phases = static_cast<std::uint32_t>(
       (refs + kRanks * kChunk - 1) / (kRanks * kChunk));
   ASSERT_GE(phases, 3u) << "trace too short to exercise multiple phases";
+  ASSERT_NE(refs % (kRanks * kChunk), 0u) << "the last phase must be short";
 
   for (int rank = 0; rank < kRanks; ++rank) {
     const auto spans = obs::tracer().events_for_rank(rank);
@@ -241,12 +244,18 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
       ASSERT_NE(scatter, nullptr) << "rank " << rank << " phase " << p;
       ASSERT_NE(analyze, nullptr) << "rank " << rank << " phase " << p;
       ASSERT_NE(pipeline, nullptr) << "rank " << rank << " phase " << p;
-      ASSERT_NE(reduce, nullptr) << "rank " << rank << " phase " << p;
-      // The four stages run in Algorithm 5 order within the phase.
+      // The stages run in Algorithm 5 order within the phase.
       EXPECT_LE(scatter->t_start_ns, analyze->t_start_ns);
       EXPECT_LE(analyze->t_end_ns, pipeline->t_end_ns);
-      EXPECT_LE(pipeline->t_start_ns, reduce->t_start_ns);
       EXPECT_LE(analyze->t_start_ns, analyze->t_end_ns);
+      if (p + 1 == phases) {
+        // Algorithm 6 would only carry state into a phase that never
+        // comes.
+        EXPECT_EQ(reduce, nullptr) << "rank " << rank << " last phase";
+      } else {
+        ASSERT_NE(reduce, nullptr) << "rank " << rank << " phase " << p;
+        EXPECT_LE(pipeline->t_start_ns, reduce->t_start_ns);
+      }
     }
     for (const auto& e : spans) {
       // Beyond the P full phases only the end-of-stream scatter (which
@@ -267,6 +276,45 @@ TEST(Observability, StreamingRunEmitsPerPhaseSpansAndAgreeingMetrics) {
   const std::string chrome = obs::tracer().to_chrome_json();
   EXPECT_GE(json::parse(chrome).at("traceEvents").array.size(),
             static_cast<std::size_t>(phases) * kRanks * 4);
+
+  obs::registry().reset_values();
+  obs::tracer().clear();
+}
+
+TEST(Observability, OfflineRunIsOnePhaseWithoutStateReduction) {
+  // Offline analysis is the one-phase case of the same rank body: every
+  // rank records exactly one ingest, analyze, infinity-pipeline and
+  // final-reduce, all outside the phase numbering, and neither the
+  // streaming intake ("scatter") nor Algorithm 6 ("reduce").
+  obs::registry().reset_values();
+  obs::tracer().clear();
+  obs::set_enabled(true);
+
+  constexpr int kRanks = 4;
+  const auto trace =
+      generate_trace(*make_spec_workload("mcf", 400000, 11), 7000);
+  PardaOptions options;
+  options.num_procs = kRanks;
+  const PardaResult result = run_parda(trace, options);
+  obs::set_enabled(false);
+  ASSERT_TRUE(result.hist == olken_analysis(trace));
+  for (const RankProfile& profile : result.profiles) {
+    EXPECT_EQ(profile.phases, 0u);
+  }
+
+  for (int rank = 0; rank < kRanks; ++rank) {
+    std::map<std::string, int> count;
+    for (const auto& e : obs::tracer().events_for_rank(rank)) {
+      if (std::string(e.op) == "recv-wait") continue;
+      EXPECT_EQ(e.phase, obs::kNoPhase) << e.op << " on rank " << rank;
+      ++count[e.op];
+    }
+    const std::map<std::string, int> expected = {{"ingest", 1},
+                                                 {"analyze", 1},
+                                                 {"infinity-pipeline", 1},
+                                                 {"final-reduce", 1}};
+    EXPECT_EQ(count, expected) << "rank " << rank;
+  }
 
   obs::registry().reset_values();
   obs::tracer().clear();
