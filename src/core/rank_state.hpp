@@ -12,7 +12,18 @@
 // count_greater. With a FenwickWindow, whose memory follows the largest
 // key, a full window that is at most half live is renumbered densely from
 // 0 (the AddrMap values are rewritten with it): amortized O(1) per insert,
-// and the window stays O(resident) rather than O(chunk).
+// and the window stays O(resident) rather than O(chunk). Renumbering keeps
+// every tick below twice the peak resident count, so such a rank keys a
+// 16-byte-slot BasicAddrMap<uint32_t> (a PARDA_CHECK guards the 2^32
+// limit); a tree that never renumbers keeps the uint64_t AddrMap.
+//
+// Block dispatch: process_own_block and process_incoming walk their input
+// in fixed internal batches. Each batch prefetches hash slots ahead of the
+// probes and collects its finite distances in a small buffer, which it then
+// tallies with Histogram::record_batch (prefetched bins). Only the order in
+// which histogram bins are incremented changes, so tallies, the
+// local-infinity stream and the received-infinity offset equal those of
+// the per-reference loop.
 //
 // Bounded-mode semantics (one deliberate tightening over the paper, see
 // DESIGN.md): with bound B, the final histogram is exact for all d < B and
@@ -23,7 +34,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/messages.hpp"
@@ -40,6 +55,12 @@ inline constexpr std::uint64_t kUnbounded = 0;
 
 template <OrderStatTree Tree = FenwickWindow>
 class RankState {
+  /// A tree that renumbers (FenwickWindow) bounds its keys by the resident
+  /// count, so its ticks fit the narrow table value.
+  static constexpr bool kRenumbers =
+      requires(const Tree& t) { t.key_capacity(); };
+  using Tick = std::conditional_t<kRenumbers, std::uint32_t, Timestamp>;
+
  public:
   /// bound: kUnbounded, or the cache bound B of Algorithm 7.
   /// space_optimized: use Algorithm 4 for incoming infinities. Bounded mode
@@ -68,71 +89,30 @@ class RankState {
   /// >= B (also an infinity, correct). This is what makes the bounded
   /// parallel histogram equal the bounded sequential one bit for bit.
   void process_own(Addr z, Timestamp ts) {
-    if (const Timestamp* last = table_.find(z)) {
-      const Distance d = tree_.count_greater(*last);
-      tree_.erase(*last);
-      // The tree never holds more than B entries (a miss evicts at B, and
-      // append_state trims to B), so a local hit is always below the bound.
-      PARDA_DCHECK(bound_ == kUnbounded || d < bound_);
-      hist_.record(d);
-    } else {
-      if (bound_ != kUnbounded && table_.size() >= bound_) {
-        // Capacity: evict LRU. The victim's own judgement was already
-        // deferred when it first appeared, so nothing is tallied here.
-        const TreeEntry victim = tree_.pop_oldest();
-        table_.erase(victim.addr);
-      }
-      // First reference in this rank's view: defer judgement, pass left.
-      loc_inf_.push_back(InfRecord{z, ts});
-    }
-    push_newest(z);
-    note_resident();
+    const Distance d = resolve_own(z, ts);
+    if (d != kInfiniteDistance) hist_.record(d);
   }
 
   /// Batched process_own over a contiguous run of this rank's chunk whose
   /// first reference sits at global position base_ts. Identical tallies and
   /// record stream to the per-reference loop; the hash probe a few
-  /// references ahead is software-prefetched.
+  /// references ahead is software-prefetched and the hits' distances are
+  /// tallied once per internal batch.
   void process_own_block(std::span<const Addr> block, Timestamp base_ts) {
-    constexpr std::size_t kAhead = 8;
-    const std::size_t n = block.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) table_.prefetch(block[i + kAhead]);
-      process_own(block[i], base_ts + i);
-    }
+    run_batches<8>(block, [&](std::size_t i) {
+      return resolve_own(block[i], base_ts + i);
+    });
   }
 
   /// Processes a received local-infinity list (one merge round). Survivors
-  /// (still-unresolved references) are appended to the outgoing queue.
+  /// (still-unresolved references) are appended to the outgoing queue. The
+  /// whole list is in hand, so the hash slot 16 records ahead is
+  /// prefetched, and resolved distances are tallied once per internal
+  /// batch; a split of the list into any calls gives the same result.
   void process_incoming(std::span<const InfRecord> records) {
-    for (const InfRecord& rec : records) {
-      if (const Timestamp* last = table_.find(rec.addr)) {
-        Distance d = tree_.count_greater(*last);
-        if (space_optimized_) {
-          // Algorithm 4: offset by infinities received so far — distinct
-          // elements of the right-hand suffix that are (by design) absent
-          // from this rank's tree.
-          d += received_count_;
-          tree_.erase(*last);
-          table_.erase(rec.addr);
-        } else {
-          // Unoptimized Algorithm 3: the incoming reference is replayed
-          // like a normal trace entry, so the tree itself accounts for
-          // every suffix element and no offset applies.
-          tree_.erase(*last);
-          push_newest(rec.addr);
-        }
-        if (bound_ != kUnbounded && d >= bound_) d = kInfiniteDistance;
-        hist_.record(d);
-      } else {
-        loc_inf_.push_back(rec);
-        if (!space_optimized_) {
-          push_newest(rec.addr);
-          note_resident();
-        }
-      }
-      ++received_count_;
-    }
+    run_batches<16>(records, [&](std::size_t i) {
+      return resolve_incoming(records[i]);
+    });
   }
 
   /// The pending local-infinity queue (inspection only).
@@ -201,21 +181,106 @@ class RankState {
   std::uint64_t bound() const noexcept { return bound_; }
   bool space_optimized() const noexcept { return space_optimized_; }
   const Tree& tree() const noexcept { return tree_; }
-  const AddrMap& table() const noexcept { return table_; }
+  const BasicAddrMap<Tick>& table() const noexcept { return table_; }
 
  private:
+  /// Runs resolve(i) for every index of `items` in internal batches of
+  /// 256, prefetching the hash slot of item i + kAhead, and tallies each
+  /// batch's finite distances with one Histogram::record_batch.
+  template <std::size_t kAhead, typename Item, typename Resolve>
+  void run_batches(std::span<const Item> items, Resolve&& resolve) {
+    constexpr std::size_t kBatch = 256;
+    std::array<Distance, kBatch> finite{};
+    const std::size_t n = items.size();
+    for (std::size_t start = 0; start < n; start += kBatch) {
+      const std::size_t stop = std::min(n, start + kBatch);
+      std::size_t hits = 0;
+      for (std::size_t i = start; i < stop; ++i) {
+        if (i + kAhead < n) table_.prefetch(addr_of(items[i + kAhead]));
+        const Distance d = resolve(i);
+        if (d != kInfiniteDistance) finite[hits++] = d;
+      }
+      hist_.record_batch(std::span<const Distance>(finite.data(), hits));
+    }
+  }
+
+  static Addr addr_of(Addr z) noexcept { return z; }
+  static Addr addr_of(const InfRecord& rec) noexcept { return rec.addr; }
+
+  /// process_own without the tally: returns the hit's distance, or
+  /// kInfiniteDistance for a miss (which joins the local-infinity queue).
+  Distance resolve_own(Addr z, Timestamp ts) {
+    Distance d = kInfiniteDistance;
+    if (const Tick* last = table_.find(z)) {
+      d = tree_.count_greater(*last);
+      tree_.erase(*last);
+      // The tree never holds more than B entries (a miss evicts at B, and
+      // append_state trims to B), so a local hit is always below the bound.
+      PARDA_DCHECK(bound_ == kUnbounded || d < bound_);
+    } else {
+      if (bound_ != kUnbounded && table_.size() >= bound_) {
+        // Capacity: evict LRU. The victim's own judgement was already
+        // deferred when it first appeared, so nothing is tallied here.
+        const TreeEntry victim = tree_.pop_oldest();
+        table_.erase(victim.addr);
+      }
+      // First reference in this rank's view: defer judgement, pass left.
+      loc_inf_.push_back(InfRecord{z, ts});
+    }
+    push_newest(z);
+    note_resident();
+    return d;
+  }
+
+  /// One record of process_incoming without the finite tally: returns the
+  /// resolved distance, or kInfiniteDistance when the record survives (it
+  /// joins the outgoing queue) or clamps to infinity (tallied here).
+  Distance resolve_incoming(const InfRecord& rec) {
+    Distance d = kInfiniteDistance;
+    if (const Tick* last = table_.find(rec.addr)) {
+      d = tree_.count_greater(*last);
+      if (space_optimized_) {
+        // Algorithm 4: offset by infinities received so far — distinct
+        // elements of the right-hand suffix that are (by design) absent
+        // from this rank's tree.
+        d += received_count_;
+        tree_.erase(*last);
+        table_.erase(rec.addr);
+      } else {
+        // Unoptimized Algorithm 3: the incoming reference is replayed
+        // like a normal trace entry, so the tree itself accounts for
+        // every suffix element and no offset applies.
+        tree_.erase(*last);
+        push_newest(rec.addr);
+      }
+      if (bound_ != kUnbounded && d >= bound_) {
+        d = kInfiniteDistance;
+        hist_.record(kInfiniteDistance);
+      }
+    } else {
+      loc_inf_.push_back(rec);
+      if (!space_optimized_) {
+        push_newest(rec.addr);
+        note_resident();
+      }
+    }
+    ++received_count_;
+    return d;
+  }
+
   /// Inserts z as the newest entry, under the next local tick.
   void push_newest(Addr z) {
-    if constexpr (requires { tree_.key_capacity(); }) {
+    if constexpr (kRenumbers) {
       if (next_tick_ == tree_.key_capacity() &&
           2 * tree_.size() <= next_tick_) {
         next_tick_ = tree_.renumber([this](Timestamp key, Addr a) {
-          table_.insert_or_assign(a, key);
+          table_.insert_or_assign(a, static_cast<Tick>(key));
         });
       }
+      PARDA_CHECK(next_tick_ <= std::numeric_limits<Tick>::max());
     }
     tree_.insert(next_tick_, z);
-    table_.insert_or_assign(z, next_tick_);
+    table_.insert_or_assign(z, static_cast<Tick>(next_tick_));
     ++next_tick_;
   }
 
@@ -226,7 +291,7 @@ class RankState {
   std::uint64_t bound_;
   bool space_optimized_;
   Tree tree_;
-  AddrMap table_;
+  BasicAddrMap<Tick> table_;
   Histogram hist_;
   std::vector<InfRecord> loc_inf_;
   Timestamp next_tick_ = 0;  // local key of the next insert

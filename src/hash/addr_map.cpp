@@ -8,20 +8,24 @@
 
 namespace parda {
 
-AddrMap::AddrMap() : AddrMap(kMinCapacity) {}
+template <typename V>
+BasicAddrMap<V>::BasicAddrMap() : BasicAddrMap(kMinCapacity) {}
 
-AddrMap::AddrMap(std::size_t initial_capacity) {
+template <typename V>
+BasicAddrMap<V>::BasicAddrMap(std::size_t initial_capacity) {
   std::size_t cap = kMinCapacity;
   while (cap < initial_capacity) cap <<= 1;
   slots_.resize(cap);
   mask_ = cap - 1;
 }
 
-std::size_t AddrMap::bucket_of(Addr key) const noexcept {
+template <typename V>
+std::size_t BasicAddrMap<V>::bucket_of(Addr key) const noexcept {
   return static_cast<std::size_t>(mix64(key)) & mask_;
 }
 
-const Timestamp* AddrMap::find(Addr key) const noexcept {
+template <typename V>
+const V* BasicAddrMap<V>::find(Addr key) const noexcept {
   std::size_t i = bucket_of(key);
   std::uint16_t dib = 0;
   while (true) {
@@ -34,12 +38,14 @@ const Timestamp* AddrMap::find(Addr key) const noexcept {
   }
 }
 
-Timestamp* AddrMap::find(Addr key) noexcept {
-  return const_cast<Timestamp*>(std::as_const(*this).find(key));
+template <typename V>
+V* BasicAddrMap<V>::find(Addr key) noexcept {
+  return const_cast<V*>(std::as_const(*this).find(key));
 }
 
-bool AddrMap::insert_or_assign(Addr key, Timestamp value) {
-  if (Timestamp* existing = find(key)) {
+template <typename V>
+bool BasicAddrMap<V>::insert_or_assign(Addr key, V value) {
+  if (V* existing = find(key)) {
     *existing = value;
     return false;
   }
@@ -54,7 +60,8 @@ bool AddrMap::insert_or_assign(Addr key, Timestamp value) {
   return true;
 }
 
-std::uint16_t AddrMap::insert_fresh(Addr key, Timestamp value) {
+template <typename V>
+std::uint16_t BasicAddrMap<V>::insert_fresh(Addr key, V value) {
   Slot incoming{key, value, 0};
   std::uint16_t longest = 0;
   std::size_t i = bucket_of(key);
@@ -72,7 +79,8 @@ std::uint16_t AddrMap::insert_fresh(Addr key, Timestamp value) {
   }
 }
 
-bool AddrMap::erase(Addr key) noexcept {
+template <typename V>
+bool BasicAddrMap<V>::erase(Addr key) noexcept {
   std::size_t i = bucket_of(key);
   std::uint16_t dib = 0;
   while (true) {
@@ -98,12 +106,14 @@ bool AddrMap::erase(Addr key) noexcept {
   return true;
 }
 
-void AddrMap::clear() noexcept {
+template <typename V>
+void BasicAddrMap<V>::clear() noexcept {
   for (Slot& s : slots_) s.dib = kEmpty;
   size_ = 0;
 }
 
-void AddrMap::reserve(std::size_t n) {
+template <typename V>
+void BasicAddrMap<V>::reserve(std::size_t n) {
   std::size_t needed = kMinCapacity;
   while (needed * 3 < n * 4) needed <<= 1;
   if (needed <= slots_.size()) return;
@@ -119,14 +129,19 @@ void AddrMap::reserve(std::size_t n) {
   }
 }
 
-void AddrMap::grow() { reserve(slots_.size() * 2); }
+template <typename V>
+void BasicAddrMap<V>::grow() { reserve(slots_.size() * 2); }
 
-std::size_t AddrMap::max_probe_length() const noexcept {
+template <typename V>
+std::size_t BasicAddrMap<V>::max_probe_length() const noexcept {
   std::uint16_t longest = 0;
   for (const Slot& s : slots_) {
     if (s.dib != kEmpty) longest = std::max(longest, s.dib);
   }
   return longest;
 }
+
+template class BasicAddrMap<std::uint64_t>;
+template class BasicAddrMap<std::uint32_t>;
 
 }  // namespace parda

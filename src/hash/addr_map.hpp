@@ -1,11 +1,19 @@
-// AddrMap: an open-addressing robin-hood hash map from Addr to Timestamp.
+// BasicAddrMap<V>: an open-addressing robin-hood hash map from Addr to an
+// unsigned value V; AddrMap is the Timestamp (uint64_t) instantiation.
 //
 // This is the repository's stand-in for the GLib GHashTable the original
 // Parda implementation used: every sequential engine and every Parda rank
-// keeps one AddrMap from data address to the timestamp of its most recent
+// keeps one map from data address to the timestamp of its most recent
 // reference. Robin-hood probing with backward-shift deletion keeps probe
 // chains short under the heavy churn (insert + erase per reference) that
 // reuse distance analysis generates.
+//
+// Value width sets the slot size: a uint64_t value makes a 24-byte slot, a
+// uint32_t value a 16-byte one. A Parda rank on a FenwickWindow keys by
+// local ticks that renumbering keeps below 2 x resident, so it uses
+// BasicAddrMap<uint32_t> and its table takes two thirds of the memory
+// (and cache lines) per probe. Both widths are instantiated in
+// addr_map.cpp.
 #pragma once
 
 #include <cstddef>
@@ -17,20 +25,21 @@
 
 namespace parda {
 
-class AddrMap {
+template <typename V>
+class BasicAddrMap {
  public:
-  AddrMap();
-  explicit AddrMap(std::size_t initial_capacity);
+  BasicAddrMap();
+  explicit BasicAddrMap(std::size_t initial_capacity);
 
-  AddrMap(const AddrMap&) = default;
-  AddrMap(AddrMap&&) noexcept = default;
-  AddrMap& operator=(const AddrMap&) = default;
-  AddrMap& operator=(AddrMap&&) noexcept = default;
+  BasicAddrMap(const BasicAddrMap&) = default;
+  BasicAddrMap(BasicAddrMap&&) noexcept = default;
+  BasicAddrMap& operator=(const BasicAddrMap&) = default;
+  BasicAddrMap& operator=(BasicAddrMap&&) noexcept = default;
 
-  /// Returns a pointer to the mapped timestamp, or nullptr if absent. The
+  /// Returns a pointer to the mapped value, or nullptr if absent. The
   /// pointer is invalidated by any mutating call.
-  const Timestamp* find(Addr key) const noexcept;
-  Timestamp* find(Addr key) noexcept;
+  const V* find(Addr key) const noexcept;
+  V* find(Addr key) noexcept;
 
   bool contains(Addr key) const noexcept { return find(key) != nullptr; }
 
@@ -48,7 +57,7 @@ class AddrMap {
   }
 
   /// Inserts or overwrites. Returns true if the key was newly inserted.
-  bool insert_or_assign(Addr key, Timestamp value);
+  bool insert_or_assign(Addr key, V value);
 
   /// Removes the key; returns true if it was present.
   bool erase(Addr key) noexcept;
@@ -60,7 +69,7 @@ class AddrMap {
   void clear() noexcept;
   void reserve(std::size_t n);
 
-  /// Invokes fn(addr, timestamp) for every entry, in unspecified order.
+  /// Invokes fn(addr, value) for every entry, in unspecified order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Slot& s : slots_) {
@@ -73,7 +82,7 @@ class AddrMap {
 
   /// Cumulative slot inspections across every find/erase search over the
   /// map's lifetime — the "hash probes" engine stat surfaced by the
-  /// observability layer. A plain (non-atomic) counter: AddrMap is
+  /// observability layer. A plain (non-atomic) counter: the map is
   /// single-threaded per rank.
   std::uint64_t probe_count() const noexcept { return probes_; }
 
@@ -81,9 +90,9 @@ class AddrMap {
   // dib is 16-bit with 0xFFFF as the empty sentinel. The previous 8-bit
   // encoding made a probe chain of length 255 indistinguishable from
   // "empty" (an adversarial set of same-bucket keys silently corrupted the
-  // table); 16 bits cost nothing (the slot is padded to 24 bytes either
-  // way) and kGrowProbeLimit additionally forces a rehash long before the
-  // sentinel could be reached.
+  // table); 16 bits cost nothing (the slot is padded to 16 or 24 bytes
+  // either way) and kGrowProbeLimit additionally forces a rehash long
+  // before the sentinel could be reached.
   static constexpr std::uint16_t kEmpty = 0xFFFF;
   /// Inserting a chain that probes this far triggers an early grow(): a
   /// doubled table splits every bucket's chain, keeping probes short even
@@ -93,19 +102,25 @@ class AddrMap {
 
   struct Slot {
     Addr key = 0;
-    Timestamp value = 0;
+    V value = 0;
     std::uint16_t dib = kEmpty;  // distance from ideal bucket
   };
+  static_assert(sizeof(Slot) == (sizeof(V) <= 4 ? 16 : 24));
 
   std::size_t bucket_of(Addr key) const noexcept;
   void grow();
   /// Returns the longest probe distance written while placing the entry.
-  std::uint16_t insert_fresh(Addr key, Timestamp value);
+  std::uint16_t insert_fresh(Addr key, V value);
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
   mutable std::uint64_t probes_ = 0;
 };
+
+extern template class BasicAddrMap<std::uint64_t>;
+extern template class BasicAddrMap<std::uint32_t>;
+
+using AddrMap = BasicAddrMap<Timestamp>;
 
 }  // namespace parda

@@ -7,24 +7,45 @@
 
 namespace parda {
 
+void Histogram::cover(Distance d) {
+  // A finite distance is bounded by the trace footprint; anything this
+  // large is an upstream bug (e.g. an underflowed subtraction, or an
+  // infinity in a finite batch), and growing the dense array for it would
+  // hang — fail loudly instead.
+  PARDA_CHECK(d < (1ULL << 48));
+  if (d >= counts_.size()) {
+    // Geometric growth so a rising max distance costs amortized O(1).
+    std::size_t cap = std::max<std::size_t>(16, counts_.size());
+    while (cap <= d) cap *= 2;
+    counts_.resize(cap, 0);
+  }
+}
+
 void Histogram::record(Distance d, std::uint64_t count) {
   if (count == 0) return;
   if (d == kInfiniteDistance) {
     infinities_ += count;
   } else {
-    // A finite distance is bounded by the trace footprint; anything this
-    // large is an upstream bug (e.g. an underflowed subtraction), and
-    // growing the dense array for it would hang — fail loudly instead.
-    PARDA_CHECK(d < (1ULL << 48));
-    if (d >= counts_.size()) {
-      // Geometric growth so a rising max distance costs amortized O(1).
-      std::size_t cap = std::max<std::size_t>(16, counts_.size());
-      while (cap <= d) cap *= 2;
-      counts_.resize(cap, 0);
-    }
+    cover(d);
     counts_[d] += count;
   }
   total_ += count;
+}
+
+void Histogram::record_batch(std::span<const Distance> finite) {
+  if (finite.empty()) return;
+  cover(*std::max_element(finite.begin(), finite.end()));
+  constexpr std::size_t kAhead = 8;
+  const std::size_t n = finite.size();
+  for (std::size_t i = 0; i < n; ++i) {
+#if defined(__GNUC__) || defined(__clang__)
+    if (i + kAhead < n) {
+      __builtin_prefetch(counts_.data() + finite[i + kAhead], /*rw=*/1);
+    }
+#endif
+    ++counts_[finite[i]];
+  }
+  total_ += n;
 }
 
 std::uint64_t Histogram::at(Distance d) const noexcept {

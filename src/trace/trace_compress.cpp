@@ -15,14 +15,16 @@ namespace parda {
 
 namespace {
 
-inline std::uint64_t zigzag_encode(std::int64_t v) noexcept {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
+// Deltas are taken and applied in wrapping uint64_t arithmetic: two
+// addresses far apart (say 42 after 2^63) have a difference no int64_t
+// holds, and the two's-complement wrap gives the same bits the signed
+// encoding would, so the format is unchanged.
+inline std::uint64_t zigzag_encode(std::uint64_t delta) noexcept {
+  return (delta << 1) ^ (std::uint64_t{0} - (delta >> 63));
 }
 
-inline std::int64_t zigzag_decode(std::uint64_t v) noexcept {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
+inline std::uint64_t zigzag_decode(std::uint64_t v) noexcept {
+  return (v >> 1) ^ (std::uint64_t{0} - (v & 1));
 }
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -86,8 +88,7 @@ std::size_t decode_deltas(std::span<const std::uint8_t> bytes,
                         " continues past bit 63");
       }
     }
-    prev = static_cast<Addr>(static_cast<std::int64_t>(prev) +
-                             zigzag_decode(v));
+    prev += zigzag_decode(v);
     out.push_back(prev);
   }
   return at;
@@ -106,9 +107,7 @@ void compress_chunk_tail(std::span<const Addr> chunk,
                          std::vector<std::uint8_t>& out) {
   Addr prev = chunk.front();
   for (std::size_t i = 1; i < chunk.size(); ++i) {
-    const auto delta = static_cast<std::int64_t>(chunk[i]) -
-                       static_cast<std::int64_t>(prev);
-    put_varint(out, zigzag_encode(delta));
+    put_varint(out, zigzag_encode(chunk[i] - prev));
     prev = chunk[i];
   }
 }
@@ -188,9 +187,7 @@ std::vector<std::uint8_t> compress_trace(std::span<const Addr> trace) {
   out.reserve(trace.size() * 2);
   Addr prev = 0;
   for (Addr a : trace) {
-    const auto delta =
-        static_cast<std::int64_t>(a) - static_cast<std::int64_t>(prev);
-    put_varint(out, zigzag_encode(delta));
+    put_varint(out, zigzag_encode(a - prev));
     prev = a;
   }
   return out;

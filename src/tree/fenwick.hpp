@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tree/order_stat_tree.hpp"
@@ -63,50 +64,65 @@ class FenwickTree {
 };
 
 /// OrderStatTree over an append-only window of integer keys: key k is slot
-/// k, a slot holds its address and a live flag, and a Fenwick tree of
-/// uint32 counts over the live flags answers count_greater as a prefix
-/// sum. Contract beyond OrderStatTree: every inserted key is greater than
-/// every key inserted since the last clear() or renumber(). Memory is
-/// O(largest key), so the owner keeps keys dense: RankState gives every
-/// insert the next local tick and calls renumber() when the window is full
-/// and at most half live.
+/// k. A slot holds its address and one live bit (a uint64_t word per 64
+/// slots), and a Fenwick tree of uint32 counts, one node per 64-slot
+/// block, answers count_greater as a block prefix sum plus a popcount of
+/// the key's own word. Contract beyond OrderStatTree: every inserted key is
+/// greater than every key inserted since the last clear() or renumber().
+/// Memory is O(largest key), so the owner keeps keys dense: RankState
+/// gives every insert the next local tick and calls renumber() when the
+/// window is full and at most half live.
 ///
-/// Counts are built only up to the append frontier: appending slot k sums
-/// its already-built Fenwick children, so an insert touches only recent
-/// (cache-hot) counts, an erase walks up to the frontier only, and growing
-/// the window never rewrites a count. Since keys only grow, the minimum
-/// live key only moves forward: oldest()/pop_oldest() follow a monotone
-/// cursor, amortized O(1) (Algorithm 7's eviction).
+/// Layout: at 1M slots the bits take 128 KB and the block counts 64 KB, so
+/// the structure count_greater and erase walk stays in L2; the 8 MB of
+/// addresses is touched only by insert (in key order), the oldest cursor,
+/// for_each and renumber.
+///
+/// Block counts are built only up to the append frontier: entering a new
+/// block sums its already-built Fenwick children, and an insert bumps only
+/// the frontier block's node (its ancestors lie past the frontier and are
+/// built later from it). So an erase walks up to the frontier only, and
+/// growing the window never rewrites a count. Since keys only grow, the
+/// minimum live key only moves forward: oldest()/pop_oldest() follow a
+/// monotone cursor that scans words, amortized O(1) (Algorithm 7's
+/// eviction).
 class FenwickWindow {
  public:
   void insert(Timestamp key, Addr addr) {
     PARDA_CHECK(key >= end_);
     if (key >= key_capacity()) resize_window(static_cast<std::size_t>(key) + 1);
-    while (end_ < key) append_slot(0);  // skipped keys are dead slots
-    addrs_[end_] = addr;
-    live_[end_] = 1;
-    if (size_ == 0) oldest_ = end_;
-    append_slot(1);
+    const std::size_t block = static_cast<std::size_t>(key) >> 6;
+    for (std::size_t k = blocks(end_) + 1; k <= block + 1; ++k) append_block(k);
+    end_ = static_cast<std::size_t>(key) + 1;  // skipped keys are dead slots
+    words_[block] |= bit_of(key);
+    ++counts_[block + 1];
+    addrs_[key] = addr;
+    if (size_ == 0) oldest_ = key;
     ++size_;
   }
 
   bool erase(Timestamp key) {
-    if (key >= end_ || live_[key] == 0) return false;
-    live_[key] = 0;
+    if (key >= end_) return false;
+    const std::size_t block = static_cast<std::size_t>(key) >> 6;
+    if ((words_[block] & bit_of(key)) == 0) return false;
+    words_[block] &= ~bit_of(key);
     --size_;
-    for (std::size_t k = key + 1; k <= end_; k += detail::lowbit(k)) {
+    const std::size_t frontier = blocks(end_);
+    for (std::size_t k = block + 1; k <= frontier; k += detail::lowbit(k)) {
       --counts_[k];
     }
-    if (key == oldest_) {
-      while (oldest_ < end_ && live_[oldest_] == 0) ++oldest_;
-    }
+    if (key == oldest_) oldest_ = next_live(oldest_ + 1);
     return true;
   }
 
   std::uint64_t count_greater(Timestamp key) const {
     if (key >= end_) return 0;
-    std::uint64_t upto = 0;  // live keys <= key
-    for (std::size_t k = key + 1; k > 0; k -= detail::lowbit(k)) {
+    const std::size_t block = static_cast<std::size_t>(key) >> 6;
+    // live keys <= key: those in the key's word at or below it, then the
+    // whole blocks before it
+    std::uint64_t upto = static_cast<std::uint64_t>(
+        std::popcount(words_[block] << (63 - (key & 63))));
+    for (std::size_t k = block; k > 0; k -= detail::lowbit(k)) {
       upto += counts_[k];
     }
     return size_ - upto;
@@ -128,13 +144,13 @@ class FenwickWindow {
 
   /// Empties the window; its storage is kept for reuse.
   void clear() noexcept {
-    std::fill(live_.begin() + static_cast<std::ptrdiff_t>(oldest_),
-              live_.begin() + static_cast<std::ptrdiff_t>(end_), 0);
+    std::fill(words_.begin() + static_cast<std::ptrdiff_t>(oldest_ >> 6),
+              words_.begin() + static_cast<std::ptrdiff_t>(blocks(end_)), 0);
     end_ = oldest_ = size_ = 0;
   }
 
   /// Slots in the window; inserting a key at or past it grows the window.
-  std::size_t key_capacity() const noexcept { return live_.size(); }
+  std::size_t key_capacity() const noexcept { return words_.size() * 64; }
 
   /// Renumbers the live entries densely from 0 in key order, calling
   /// fn(new_key, addr) for each, and shrinks the window to twice their
@@ -142,18 +158,22 @@ class FenwickWindow {
   template <typename Fn>
   Timestamp renumber(Fn&& fn) {
     std::size_t n = 0;
-    for (std::size_t i = oldest_; i < end_; ++i) {
-      if (live_[i] == 0) continue;
-      live_[i] = 0;
-      live_[n] = 1;
-      addrs_[n] = addrs_[i];
-      fn(static_cast<Timestamp>(n), addrs_[n]);
-      ++n;
+    for (std::size_t w = oldest_ >> 6, stop = blocks(end_); w < stop; ++w) {
+      for (std::uint64_t word = std::exchange(words_[w], 0); word != 0;
+           word &= word - 1) {
+        addrs_[n] = addrs_[(w << 6) + std::countr_zero(word)];
+        fn(static_cast<Timestamp>(n), addrs_[n]);
+        ++n;
+      }
     }
     resize_window(2 * n);
-    // Every slot in [0, n) is live, so each count is its range length.
-    for (std::size_t k = 1; k <= n; ++k) {
-      counts_[k] = static_cast<std::uint32_t>(detail::lowbit(k));
+    // Every slot in [0, n) is live: whole words, then a partial last word,
+    // and each block count is the number of those slots its node covers.
+    std::fill_n(words_.begin(), n >> 6, ~std::uint64_t{0});
+    if ((n & 63) != 0) words_[n >> 6] = bit_of(n) - 1;
+    for (std::size_t k = 1; k <= blocks(n); ++k) {
+      counts_[k] = static_cast<std::uint32_t>(
+          std::min(n, k << 6) - ((k - detail::lowbit(k)) << 6));
     }
     end_ = size_ = n;
     oldest_ = 0;
@@ -163,36 +183,52 @@ class FenwickWindow {
   /// Ascending-key traversal; fn(TreeEntry).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = oldest_; i < end_; ++i) {
-      if (live_[i] != 0) fn(TreeEntry{i, addrs_[i]});
+    for (std::size_t w = oldest_ >> 6, stop = blocks(end_); w < stop; ++w) {
+      for (std::uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        const std::size_t i = (w << 6) + std::countr_zero(word);
+        fn(TreeEntry{i, addrs_[i]});
+      }
     }
   }
 
-  /// Checks every built count against the live flags, the size, the
+  /// Checks every built block count against the live bits, the size, the
   /// cursor, and that no slot past the frontier is live.
   bool validate() const {
-    std::vector<std::uint64_t> prefix(end_ + 1, 0);
-    for (std::size_t i = 0; i < end_; ++i) prefix[i + 1] = prefix[i] + live_[i];
-    if (prefix[end_] != size_) return false;
-    for (std::size_t k = 1; k <= end_; ++k) {
+    const std::size_t built = blocks(end_);
+    if (built > words_.size()) return false;
+    std::vector<std::uint64_t> prefix(built + 1, 0);  // live in blocks [0, b)
+    for (std::size_t b = 0; b < built; ++b) {
+      prefix[b + 1] = prefix[b] + std::popcount(words_[b]);
+    }
+    if (prefix[built] != size_) return false;
+    for (std::size_t k = 1; k <= built; ++k) {
       if (counts_[k] != prefix[k] - prefix[k - detail::lowbit(k)]) return false;
     }
-    if (oldest_ > end_ || (oldest_ < end_ && live_[oldest_] == 0)) {
+    if ((end_ & 63) != 0 && (words_[end_ >> 6] >> (end_ & 63)) != 0) {
       return false;
     }
-    if (prefix[oldest_] != 0) return false;
-    return std::all_of(live_.begin() + static_cast<std::ptrdiff_t>(end_),
-                       live_.end(), [](std::uint8_t f) { return f == 0; });
+    if (!std::all_of(words_.begin() + static_cast<std::ptrdiff_t>(built),
+                     words_.end(), [](std::uint64_t w) { return w == 0; })) {
+      return false;
+    }
+    return oldest_ == next_live(0);
   }
 
  private:
   static constexpr std::size_t kMinSlots = 64;
 
-  /// Builds the count of the next slot (1-based k = end_ + 1) from its
-  /// Fenwick children, all of which lie at or before the frontier.
-  void append_slot(std::uint32_t leaf) {
-    const std::size_t k = ++end_;
-    std::uint32_t sum = leaf;
+  static std::uint64_t bit_of(std::uint64_t key) noexcept {
+    return std::uint64_t{1} << (key & 63);
+  }
+
+  /// Blocks that hold a slot below `end`: the built Fenwick nodes.
+  static std::size_t blocks(std::size_t end) noexcept { return (end + 63) >> 6; }
+
+  /// Builds block node k (1-based, the block after the frontier) from its
+  /// Fenwick children, all of which are already built; the block itself
+  /// starts empty.
+  void append_block(std::size_t k) {
+    std::uint32_t sum = 0;
     const std::size_t first = k - detail::lowbit(k);  // exclusive
     for (std::size_t j = k - 1; j > first; j -= detail::lowbit(j)) {
       sum += counts_[j];
@@ -200,24 +236,38 @@ class FenwickWindow {
     counts_[k] = sum;
   }
 
+  /// First live slot at or after `from`, or end_ if there is none.
+  std::size_t next_live(std::size_t from) const noexcept {
+    if (from >= end_) return end_;
+    std::size_t w = from >> 6;
+    std::uint64_t word = words_[w] & (~std::uint64_t{0} << (from & 63));
+    const std::size_t last = (end_ - 1) >> 6;
+    while (word == 0) {
+      if (++w > last) return end_;
+      word = words_[w];
+    }
+    return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+  }
+
   /// Sets the window to the power of two covering `slots` (at least
   /// kMinSlots). Callers guarantee no live slot lies past the new end.
   void resize_window(std::size_t slots) {
     const std::size_t cap = std::bit_ceil(std::max(slots, kMinSlots));
     if (cap == key_capacity()) return;
-    counts_.resize(cap + 1);
+    words_.resize(cap >> 6, 0);
+    counts_.resize((cap >> 6) + 1);
     addrs_.resize(cap);
-    live_.resize(cap, 0);
-    if (cap < counts_.capacity() / 2) {
+    if (words_.size() < words_.capacity() / 2) {
+      words_.shrink_to_fit();
       counts_.shrink_to_fit();
       addrs_.shrink_to_fit();
-      live_.shrink_to_fit();
     }
   }
 
-  std::vector<std::uint32_t> counts_;  // 1-based; built for [1, end_]
+  std::vector<std::uint64_t> words_;   // live bits, slot k at bit k % 64
+  std::vector<std::uint32_t> counts_;  // 1-based per block; built for
+                                       // [1, blocks(end_)]
   std::vector<Addr> addrs_;
-  std::vector<std::uint8_t> live_;
   std::size_t end_ = 0;     // slots appended since clear()/renumber()
   std::size_t oldest_ = 0;  // first live slot, or end_ when empty
   std::size_t size_ = 0;

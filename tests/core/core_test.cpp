@@ -353,6 +353,64 @@ TEST(RankStateTest, ProcessOwnBlockEqualsPerReferenceLoop) {
   }
 }
 
+TEST(RankStateTest, ProcessIncomingSplitAnywhereEqualsWhole) {
+  // process_incoming walks its list in internal batches (prefetching hash
+  // slots ahead, tallying each batch at its end). Any split of a received
+  // list into calls, down to one record per call, must leave the state the
+  // whole list does: tallies with the Algorithm 4 offset and the bounded
+  // clamp, the survivors in order, and the received count.
+  ZipfWorkload left_refs(3000, 0.8, 5);
+  ZipfWorkload right_refs(3000, 0.8, 6);
+  const std::vector<Addr> own = generate_trace(left_refs, 9000);
+  RankState<> right;
+  right.process_own_block(generate_trace(right_refs, 9000), 9000);
+  const std::vector<InfRecord> list = right.take_local_infinities();
+  ASSERT_GE(list.size(), 1800u);
+  ASSERT_LE(list.size(), 2300u);
+  std::vector<std::size_t> every;  // one record per call
+  for (std::size_t i = 1; i < list.size(); ++i) every.push_back(i);
+  const std::vector<std::vector<std::size_t>> splits = {
+      {1}, {255}, {256}, {257}, {1, 255, 256, 257}, every};
+
+  struct Config {
+    std::uint64_t bound;
+    bool space_optimized;
+  };
+  for (const Config c : {Config{kUnbounded, true}, Config{64, true},
+                         Config{kUnbounded, false}}) {
+    SCOPED_TRACE("B=" + std::to_string(c.bound) +
+                 " space_optimized=" + std::to_string(c.space_optimized));
+    const auto run = [&](const std::vector<std::size_t>& cuts) {
+      RankState<> state(c.bound, c.space_optimized);
+      state.process_own_block(own, 0);
+      state.take_local_infinities();
+      state.begin_merge_stage();
+      const std::span<const InfRecord> all(list);
+      std::size_t from = 0;
+      for (const std::size_t cut : cuts) {
+        state.process_incoming(all.subspan(from, cut - from));
+        from = cut;
+      }
+      state.process_incoming(all.subspan(from));
+      return state;
+    };
+    const RankState<> whole = run({});
+    // Not vacuous: records resolve, survive, and (bounded) clamp.
+    EXPECT_GT(whole.hist().finite_total(), 0u);
+    EXPECT_GT(whole.pending_infinities(), 0u);
+    if (c.bound != kUnbounded) {
+      EXPECT_GT(whole.hist().infinities(), 0u);
+    }
+    for (const std::vector<std::size_t>& cuts : splits) {
+      const RankState<> split = run(cuts);
+      EXPECT_TRUE(split.hist() == whole.hist()) << cuts.size() << " cuts";
+      EXPECT_EQ(split.local_infinities(), whole.local_infinities())
+          << cuts.size() << " cuts";
+      EXPECT_EQ(split.received_count(), whole.received_count());
+    }
+  }
+}
+
 TEST(RankStateTest, FlushGlobalInfinitiesCountsPending) {
   RankState<> state;
   state.process_own(1, 0);

@@ -193,44 +193,116 @@ TYPED_TEST(OrderStatTreeTest, PopOldestInterleavedWithInserts) {
 TEST(FenwickWindowTest, RandomizedAgainstOracle) {
   // Ascending keys with random gaps, erases anywhere (half of them LRU
   // pops), and count_greater probes on present, absent and out-of-window
-  // keys.
+  // keys. Gaps of up to 130 skip whole 64-slot words of live bits.
+  for (const Timestamp max_gap : {3, 130}) {
+    SCOPED_TRACE(max_gap);
+    FenwickWindow tree;
+    VectorTree oracle;
+    Xoshiro256 rng(4242);
+    std::vector<Timestamp> live;
+    Timestamp next = 0;
+    for (int step = 0; step < 30000; ++step) {
+      const int op = static_cast<int>(rng.below(10));
+      if (op < 5 || live.empty()) {
+        next += rng.below(max_gap + 1);
+        tree.insert(next, next ^ 0xF00D);
+        oracle.insert(next, next ^ 0xF00D);
+        live.push_back(next++);
+      } else if (op < 7) {
+        const std::size_t pick = rng.below(live.size());
+        EXPECT_TRUE(tree.erase(live[pick]));
+        EXPECT_TRUE(oracle.erase(live[pick]));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (op < 8) {
+        EXPECT_EQ(tree.oldest(), oracle.oldest());
+        EXPECT_EQ(tree.pop_oldest(), oracle.pop_oldest());
+        live.erase(std::min_element(live.begin(), live.end()));
+      } else {
+        const Timestamp probe = rng.below(next + 8);
+        EXPECT_EQ(tree.count_greater(probe), oracle.count_greater(probe));
+        EXPECT_EQ(tree.erase(probe), oracle.erase(probe));
+        std::erase(live, probe);
+      }
+      ASSERT_EQ(tree.size(), oracle.size());
+      if (step % 1000 == 0) {
+        ASSERT_TRUE(tree.validate()) << step;
+      }
+    }
+    std::vector<TreeEntry> a;
+    std::vector<TreeEntry> b;
+    tree.for_each([&](TreeEntry e) { a.push_back(e); });
+    oracle.for_each([&](TreeEntry e) { b.push_back(e); });
+    EXPECT_EQ(a, b);
+  }
+}
+
+TEST(FenwickWindowTest, WordBoundaries) {
+  // Live bits are packed 64 to a word: keys on both sides of word edges,
+  // gaps that skip whole words, erases that empty a word under the oldest
+  // cursor, and a renumber whose survivors end in a partial last word.
+  // Every step is checked against the sorted-vector oracle.
   FenwickWindow tree;
   VectorTree oracle;
-  Xoshiro256 rng(4242);
-  std::vector<Timestamp> live;
-  Timestamp next = 0;
-  for (int step = 0; step < 30000; ++step) {
-    const int op = static_cast<int>(rng.below(10));
-    if (op < 5 || live.empty()) {
-      next += rng.below(4);
-      tree.insert(next, next ^ 0xF00D);
-      oracle.insert(next, next ^ 0xF00D);
-      live.push_back(next++);
-    } else if (op < 7) {
-      const std::size_t pick = rng.below(live.size());
-      EXPECT_TRUE(tree.erase(live[pick]));
-      EXPECT_TRUE(oracle.erase(live[pick]));
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else if (op < 8) {
-      EXPECT_EQ(tree.oldest(), oracle.oldest());
-      EXPECT_EQ(tree.pop_oldest(), oracle.pop_oldest());
-      live.erase(std::min_element(live.begin(), live.end()));
-    } else {
-      const Timestamp probe = rng.below(next + 8);
-      EXPECT_EQ(tree.count_greater(probe), oracle.count_greater(probe));
-      EXPECT_EQ(tree.erase(probe), oracle.erase(probe));
-      std::erase(live, probe);
-    }
+  const auto check = [&](const char* what) {
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(tree.validate());
     ASSERT_EQ(tree.size(), oracle.size());
-    if (step % 1000 == 0) {
-      ASSERT_TRUE(tree.validate()) << step;
+    if (!oracle.empty()) {
+      EXPECT_EQ(tree.oldest(), oracle.oldest());
     }
+    for (Timestamp probe = 0; probe < 900; ++probe) {
+      ASSERT_EQ(tree.count_greater(probe), oracle.count_greater(probe))
+          << probe;
+    }
+  };
+  const auto insert = [&](Timestamp key) {
+    tree.insert(key, key + 1000);
+    oracle.insert(key, key + 1000);
+  };
+  for (const Timestamp key : {0, 63, 64, 127, 128, 192, 383, 384, 700}) {
+    insert(key);
+    check("insert");
   }
-  std::vector<TreeEntry> a;
-  std::vector<TreeEntry> b;
-  tree.for_each([&](TreeEntry e) { a.push_back(e); });
-  oracle.for_each([&](TreeEntry e) { b.push_back(e); });
-  EXPECT_EQ(a, b);
+  for (const Timestamp key : {63, 0, 128, 127}) {
+    EXPECT_TRUE(tree.erase(key));
+    EXPECT_TRUE(oracle.erase(key));
+    check("erase");
+  }
+  EXPECT_EQ(tree.oldest(), (TreeEntry{64, 1064}));
+  EXPECT_EQ(tree.pop_oldest(), oracle.pop_oldest());  // word 1 now empty
+  check("pop across an empty word");
+  EXPECT_EQ(tree.oldest(), (TreeEntry{192, 1192}));
+  for (Timestamp key = 701; key <= 800; ++key) insert(key);
+  check("run");
+
+  // 4 sparse survivors and the run of 100: 104 keys, one whole word and a
+  // partial one.
+  std::vector<TreeEntry> expected;
+  oracle.for_each([&](TreeEntry e) { expected.push_back(e); });
+  std::vector<TreeEntry> renamed;
+  const Timestamp next = tree.renumber(
+      [&](Timestamp key, Addr addr) { renamed.push_back({key, addr}); });
+  ASSERT_EQ(next, 104u);
+  ASSERT_EQ(renamed.size(), expected.size());
+  oracle.clear();
+  for (std::size_t i = 0; i < renamed.size(); ++i) {
+    EXPECT_EQ(renamed[i], (TreeEntry{i, expected[i].addr}));
+    oracle.insert(renamed[i].ts, renamed[i].addr);
+  }
+  EXPECT_EQ(tree.key_capacity(), 256u);
+  check("renumber");
+  for (const Timestamp key : {63, 64, 103}) {
+    EXPECT_TRUE(tree.erase(key));
+    EXPECT_TRUE(oracle.erase(key));
+    check("erase after renumber");
+  }
+  EXPECT_FALSE(tree.erase(104));  // past the frontier
+  insert(next);                   // in the partial word
+  insert(191);                    // skips to the last slot of word 2
+  check("insert after renumber");
+  insert(256);                    // grows the window
+  check("grow after renumber");
+  EXPECT_EQ(tree.key_capacity(), 512u);
 }
 
 TEST(FenwickWindowTest, GapsAndGrowth) {
