@@ -1,12 +1,14 @@
 // Ingest-path comparison: the same trace analyzed through the three
-// TraceSource paths (DESIGN.md "Ingest") —
-//   pipe  producer thread + bounded TracePipe + multi-phase streaming
-//         algorithm (the historical file path, one copy per reference),
-//   mmap  zero-copy mapping, offline algorithm on disjoint views,
-//   trz   chunked v2 archive, per-rank parallel decode, offline algorithm
-// — at np = 1..8. This is the artifact behind the "ingest at line rate"
-// roadmap item: mmap and trz must beat pipe on refs/s (the pipe pays a
-// copy, a thread handoff, and the phase machinery per reference).
+// file paths (DESIGN.md "Ingest") —
+//   pipe  the .trc through a producer thread + bounded TracePipe +
+//         multi-phase streaming algorithm (one copy per reference),
+//   mmap  the .trc offline: zero-copy mapping, disjoint views,
+//   trz   the .trz offline: per-rank parallel chunk decode
+// — at np = 1..8. mmap and trz are the same IngestMode::kOffline call;
+// the file's magic picks the source. This is the artifact behind the
+// "ingest at line rate" roadmap item: mmap and trz must beat pipe on
+// refs/s (the pipe pays a copy, a thread handoff, and the phase machinery
+// per reference).
 //
 // Writes a parda.bench.v1 artifact (default BENCH_ingest.json, override
 // with PARDA_BENCH_JSON); a point's identity is (name="analyze_file",
@@ -54,22 +56,28 @@ IngestFixture make_fixture() {
   return fx;
 }
 
+/// One bench row: the `ingest` label, the file, and how it is read.
+struct IngestPath {
+  const char* label;
+  const std::string* path;
+  IngestMode mode;
+};
+
 double measure(core::PardaRuntime& runtime, const IngestFixture& fx,
-               IngestMode mode, int np, int reps) {
-  const std::string& path =
-      mode == IngestMode::kTrz ? fx.trz_path : fx.trc_path;
+               const IngestPath& ingest, int np, int reps) {
   PardaOptions options;
   options.num_procs = np;
   auto session = runtime.session(options);
   double best = 1e30;
   for (int i = 0; i < reps; ++i) {
     WallTimer timer;
-    const PardaResult r = session.analyze_file(path, 1 << 20, mode);
+    const PardaResult r =
+        session.analyze_file(*ingest.path, 1 << 20, ingest.mode);
     const double secs = timer.seconds();
     if (r.hist.total() != fx.refs) {
       std::fprintf(stderr, "bench_ingest: %s returned %" PRIu64
                            " references, expected %zu\n",
-                   ingest_mode_name(mode), r.hist.total(), fx.refs);
+                   ingest.label, r.hist.total(), fx.refs);
       std::exit(1);
     }
     best = std::min(best, secs);
@@ -88,17 +96,19 @@ void run_ingest_suite() {
               reps, "ingest", "np", "ns_per_ref", "Mrefs/s");
   for (const int np : {1, 2, 4, 8}) {
     core::PardaRuntime runtime(np);  // warm pool shared by the modes
-    for (const IngestMode mode :
-         {IngestMode::kPipe, IngestMode::kMmap, IngestMode::kTrz}) {
-      const double secs = measure(runtime, fx, mode, np, reps);
+    for (const IngestPath& ingest :
+         {IngestPath{"pipe", &fx.trc_path, IngestMode::kPipe},
+          IngestPath{"mmap", &fx.trc_path, IngestMode::kOffline},
+          IngestPath{"trz", &fx.trz_path, IngestMode::kOffline}}) {
+      const double secs = measure(runtime, fx, ingest, np, reps);
       bench::BenchPoint p;
       p.name = "analyze_file";
       p.params = {{"np", static_cast<std::uint64_t>(np)}};
-      p.labels = {{"ingest", ingest_mode_name(mode)}};
+      p.labels = {{"ingest", ingest.label}};
       p.metrics = {
           {"ns_per_ref", secs * 1e9 / static_cast<double>(fx.refs)},
           {"mrefs_per_s", static_cast<double>(fx.refs) / secs / 1e6}};
-      std::printf("%-6s %3d %12.2f %10.2f\n", ingest_mode_name(mode), np,
+      std::printf("%-6s %3d %12.2f %10.2f\n", ingest.label, np,
                   p.metrics[0].second, p.metrics[1].second);
       points.push_back(std::move(p));
     }

@@ -11,16 +11,21 @@
 //   ./trace_tool analyze lbm.trc --transport=shm          # real wire, 1 proc
 //   ./trace_tool analyze lbm.trc --transport=tcp --rank=0
 //                --peers=host0:7000,host1:7000            # distributed
-//   ./trace_tool analyze lbm.trc --ingest=mmap       # zero-copy offline
-//   ./trace_tool analyze lbm.trz --ingest=trz --procs=8
+//   ./trace_tool analyze lbm.trz --procs=8           # per-rank .trz decode
 //   ./trace_tool checkmetrics scrape.prom
 //   ./trace_tool convert lbm.trc lbm.txt
 //   ./trace_tool convert lbm.trc lbm.trz --chunk-refs=65536
-//   ./trace_tool convert old.trz new.trz --trz-version=2  # v1 -> chunked v2
 //
-// The transport, ingest path, and log level all resolve through the
-// layered config rule: the CLI flag beats the environment variable
-// ($PARDA_TRANSPORT / $PARDA_INGEST / $PARDA_LOG_LEVEL) beats the default.
+// analyze reads a trace file one of two ways. With --stream, a producer
+// thread streams the binary file through a bounded pipe into the
+// multi-phase algorithm (the paper's online shape). Without it, the file
+// picks its offline source by its magic: a .trc is mapped and each rank
+// analyzes its own view of the mapping, a .trz has its chunks decoded by
+// the ranks that own them. A .txt trace is parsed into memory.
+//
+// The transport and log level resolve through the layered config rule:
+// the CLI flag beats the environment variable ($PARDA_TRANSPORT /
+// $PARDA_LOG_LEVEL) beats the default.
 //
 // Exit codes: 0 success, 1 runtime failure (missing/corrupt trace, aborted
 // analysis, invalid exposition format), 2 usage error (bad flag or
@@ -31,6 +36,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -71,47 +77,26 @@ std::vector<parda::Addr> load(const std::string& path) {
 }
 
 void store(const std::string& path, const std::vector<parda::Addr>& trace,
-           std::uint64_t trz_version = 2,
-           std::uint64_t chunk_refs = parda::kDefaultTrzChunkRefs) {
+           std::uint64_t chunk_refs) {
   if (ends_with(path, ".txt")) {
     parda::write_trace_text(path, trace);
   } else if (ends_with(path, ".trz")) {
-    if (trz_version == 1) {
-      parda::write_trace_compressed(path, trace);
-    } else {
-      parda::write_trace_chunked(path, trace, chunk_refs);
-    }
+    parda::write_trace_chunked(path, trace, chunk_refs);
   } else {
     parda::write_trace_binary(path, trace);
   }
 }
 
-/// Validates the .trz output knobs for the writing commands (gen and
-/// convert). The flags only mean something for a .trz output, and
-/// --chunk-refs only for the chunked v2 layout.
+/// Validates --chunk-refs for the writing commands (gen and convert): it
+/// must be positive and only means something for a .trz output.
 void check_trz_flags(const parda::CliParser& cli, const char* command,
-                     const std::string& out_path, std::uint64_t trz_version,
-                     std::uint64_t chunk_refs) {
+                     const std::string& out_path, std::uint64_t chunk_refs) {
   using parda::usage_error;
-  if (trz_version != 1 && trz_version != 2) {
-    usage_error("%s: bad --trz-version %llu (expected 1 or 2)", command,
-                static_cast<unsigned long long>(trz_version));
-  }
   if (chunk_refs == 0) {
     usage_error("%s: --chunk-refs must be positive", command);
   }
-  if (!ends_with(out_path, ".trz")) {
-    if (cli.was_set("trz-version")) {
-      usage_error("%s: --trz-version applies only to .trz outputs", command);
-    }
-    if (cli.was_set("chunk-refs")) {
-      usage_error("%s: --chunk-refs applies only to .trz outputs", command);
-    }
-  }
-  if (trz_version == 1 && cli.was_set("chunk-refs")) {
-    usage_error("%s: --chunk-refs needs --trz-version=2 (a v1 archive is one "
-                "whole-file stream)",
-                command);
+  if (!ends_with(out_path, ".trz") && cli.was_set("chunk-refs")) {
+    usage_error("%s: --chunk-refs applies only to .trz outputs", command);
   }
 }
 
@@ -275,10 +260,8 @@ int run_tool(int argc, char** argv) {
   std::uint64_t bound = 0;
   std::string engine = kEngines[0].name;  // the parallel driver
   bool stream = false;
-  std::string ingest_text;
   std::uint64_t chunk = 1 << 16;
   std::uint64_t pipe_words = 1 << 20;
-  std::uint64_t trz_version = 2;
   std::uint64_t chunk_refs = kDefaultTrzChunkRefs;
   std::string fault_plan_spec;
   std::uint64_t watchdog_ms = 0;
@@ -309,18 +292,13 @@ int run_tool(int argc, char** argv) {
                "analyze: " + engine_names() + " (parda, the parallel "
                "driver, is the default; the rest are sequential)");
   cli.add_flag("stream", &stream,
-               "analyze: stream the file through a bounded pipe");
-  cli.add_flag("ingest", &ingest_text,
-               "analyze: file ingest path: pipe (stream through a bounded "
-               "pipe) | mmap (zero-copy map of a .trc) | trz (parallel "
-               "chunked decode of a v2 .trz); also $PARDA_INGEST");
+               "analyze: stream the file through a bounded pipe (default: "
+               "the file's magic picks the offline source, mmap for .trc, "
+               "per-rank decode for .trz)");
   cli.add_flag("chunk", &chunk, "analyze --stream: per-rank chunk size C");
   cli.add_flag("pipe", &pipe_words, "analyze --stream: pipe capacity in words");
-  cli.add_flag("trz-version", &trz_version,
-               "gen/convert: .trz archive version: 2 (chunked, default) | 1 "
-               "(whole-file stream)");
   cli.add_flag("chunk-refs", &chunk_refs,
-               "gen/convert: references per chunk for v2 .trz outputs");
+               "gen/convert: references per chunk for .trz outputs");
   cli.add_flag("fault-plan", &fault_plan_spec,
                "fault injection plan (see DESIGN.md; also $PARDA_FAULT_PLAN)");
   cli.add_flag("watchdog-ms", &watchdog_ms,
@@ -407,41 +385,6 @@ int run_tool(int argc, char** argv) {
                 comm::transport_kind_name(transport.kind));
   }
 
-  // The file-ingest path, through the same layered rule as the transport:
-  // --ingest beats $PARDA_INGEST beats the legacy default (load the whole
-  // trace in memory; with --stream, the pipe). nullopt = legacy default.
-  std::optional<IngestMode> ingest;
-  const config::Resolved ingest_resolved =
-      config::resolve_flag(cli, "ingest", ingest_text, "PARDA_INGEST", "");
-  if (!ingest_resolved.value.empty()) {
-    const std::optional<IngestMode> parsed =
-        parse_ingest_mode(ingest_resolved.value);
-    if (parsed.has_value()) {
-      ingest = *parsed;
-    } else if (ingest_resolved.from_cli()) {
-      usage_error("bad --ingest '%s' (expected pipe|mmap|trz)",
-                  ingest_resolved.value.c_str());
-    } else {
-      std::fprintf(stderr, "trace_tool: ignoring bad $PARDA_INGEST '%s'\n",
-                   ingest_resolved.value.c_str());
-    }
-  }
-  if (stream) {
-    // --stream IS pipe ingest. A contradictory CLI --ingest is a usage
-    // error; a contradictory environment is tolerated, like --transport.
-    if (ingest.has_value() && *ingest != IngestMode::kPipe &&
-        ingest_resolved.from_cli()) {
-      usage_error("analyze: --stream streams through the pipe; drop it or "
-                  "use --ingest=%s without --stream",
-                  ingest_mode_name(*ingest));
-    }
-    ingest = IngestMode::kPipe;
-  }
-  if (selected->run != nullptr && cli.was_set("ingest")) {
-    usage_error("--ingest requires --engine=parda (sequential engines load "
-                "the whole trace in memory)");
-  }
-
   std::optional<std::uint16_t> serve_port;
   if (!serve.empty()) {
     char* end = nullptr;
@@ -461,7 +404,7 @@ int run_tool(int argc, char** argv) {
 
   if (command == "gen") {
     if (refs == 0) usage_error("gen: --refs must be positive");
-    check_trz_flags(cli, "gen", out, trz_version, chunk_refs);
+    check_trz_flags(cli, "gen", out, chunk_refs);
     // Accept either a bare Table IV profile name ("mcf") or a full
     // workload spec string ("zipf:m=100000,a=0.9", "mix:...", "spec:mcf").
     std::unique_ptr<Workload> w;
@@ -471,7 +414,7 @@ int run_tool(int argc, char** argv) {
       w = parse_workload(workload_name, seed);
     }
     const auto trace = generate_trace(*w, refs);
-    store(out, trace, trz_version, chunk_refs);
+    store(out, trace, chunk_refs);
     std::printf("wrote %s references of %s to %s\n",
                 with_commas(refs).c_str(), w->name().c_str(), out.c_str());
     return 0;
@@ -480,7 +423,7 @@ int run_tool(int argc, char** argv) {
     if (cli.positionals().empty()) usage_error("analyze: missing trace path");
     if (procs == 0) usage_error("analyze: --procs must be positive");
     if (stream && chunk == 0) usage_error("analyze: --chunk must be positive");
-    if (ingest == IngestMode::kPipe && chunk > SIZE_MAX / procs) {
+    if (stream && chunk > SIZE_MAX / procs) {
       // A phase is --procs chunks read as one block: its size must fit.
       usage_error("analyze: --chunk=%llu times --procs=%llu overflows the "
                   "phase size",
@@ -569,13 +512,24 @@ int run_tool(int argc, char** argv) {
         std::fflush(stdout);
       }
       auto session = runtime.session(options);
-      std::vector<Addr> trace;
-      if (!ingest.has_value()) trace = load(cli.positionals()[0]);
+      // Offline, the source is opened once and every --repeat iteration
+      // reuses it (a .trz source keeps its decode arenas warm). Text has
+      // no magic: it is parsed into memory and analyzed as a span.
+      const std::string& path = cli.positionals()[0];
+      std::vector<Addr> text_trace;
+      std::unique_ptr<TraceSource> source;
+      if (!stream) {
+        if (ends_with(path, ".txt")) {
+          text_trace = read_trace_text(path);
+          source = std::make_unique<SpanTraceSource>(text_trace);
+        } else {
+          source = open_offline_source(path);
+        }
+      }
       for (std::uint64_t i = 0; i < repeat; ++i) {
-        result = ingest.has_value()
-                     ? session.analyze_file(cli.positionals()[0], pipe_words,
-                                            *ingest)
-                     : session.analyze(trace);
+        result = stream ? session.analyze_file(path, pipe_words,
+                                               IngestMode::kPipe)
+                        : session.analyze_source(*source);
         if (repeat > 1) {
           std::printf("iteration %llu: %.3f ms wall\n",
                       static_cast<unsigned long long>(i + 1),
@@ -655,10 +609,9 @@ int run_tool(int argc, char** argv) {
     if (cli.positionals().size() < 2) {
       usage_error("convert: need input and output paths");
     }
-    check_trz_flags(cli, "convert", cli.positionals()[1], trz_version,
-                    chunk_refs);
+    check_trz_flags(cli, "convert", cli.positionals()[1], chunk_refs);
     const auto trace = load(cli.positionals()[0]);
-    store(cli.positionals()[1], trace, trz_version, chunk_refs);
+    store(cli.positionals()[1], trace, chunk_refs);
     std::printf("converted %zu references\n", trace.size());
     return 0;
   }

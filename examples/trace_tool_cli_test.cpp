@@ -3,7 +3,10 @@
 // (exit 2) from runtime failures (exit 1) and success (exit 0).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -22,6 +25,35 @@ int run_env(const std::string& env, const std::string& args) {
                           " " + args + " >/dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   return WEXITSTATUS(status);
+}
+
+/// Runs trace_tool and returns what it printed on stdout, expecting exit 0.
+std::string output(const std::string& args) {
+  const std::string cmd =
+      std::string(PARDA_TRACE_TOOL_PATH) + " " + args + " 2>/dev/null";
+  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << cmd;
+  if (pipe == nullptr) return {};
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) out.append(buf, n);
+  EXPECT_EQ(WEXITSTATUS(::pclose(pipe)), 0) << cmd;
+  return out;
+}
+
+/// The "total" of one counter in a parda.metrics.v1 snapshot file, or 0
+/// when the counter is absent.
+std::uint64_t counter_total(const std::string& metrics_path,
+                            const std::string& name) {
+  std::ifstream in(metrics_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string key = "\"" + name + "\":{\"total\":";
+  const std::string json = text.str();
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
 }
 
 class TraceToolCliTest : public ::testing::Test {
@@ -73,9 +105,6 @@ TEST_F(TraceToolCliTest, ChunkTimesProcsOverflowIsUsageError) {
   // 2^62 words per chunk times 4 ranks wraps the phase size to 0, which
   // would read no block and report an empty trace.
   EXPECT_EQ(run("analyze trace_cli_test.trc --stream --procs=4 "
-                "--chunk=4611686018427387904"),
-            2);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=pipe --procs=4 "
                 "--chunk=4611686018427387904"),
             2);
 }
@@ -201,94 +230,66 @@ TEST_F(TraceToolCliTest, DistributedShmAnalyzeAcrossProcesses) {
             0);
 }
 
-// --- Ingest flag matrix (DESIGN.md "Ingest") --------------------------------
+// --- Ingest: the file picks its path (DESIGN.md "Ingest") -----------------
 
-TEST_F(TraceToolCliTest, EveryIngestModeAnalyzes) {
-  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2 --ingest=pipe"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --procs=2 --ingest=mmap"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trz --procs=2 --ingest=trz"), 0);
-}
-
-TEST_F(TraceToolCliTest, BadIngestModeIsUsageError) {
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=carrier-pigeon"), 2);
-}
-
-TEST_F(TraceToolCliTest, StreamContradictsOfflineIngest) {
-  // --stream IS pipe ingest: saying both is fine, an offline mode is not.
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --ingest=pipe"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --ingest=mmap"), 2);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --stream --ingest=trz"), 2);
-  // A process-wide $PARDA_INGEST yields to an explicit --stream.
-  EXPECT_EQ(run_env("PARDA_INGEST=mmap",
-                    "analyze trace_cli_test.trc --stream"),
+TEST_F(TraceToolCliTest, EveryFileShapePrintsTheSameMrc) {
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_same.trz "
+                "--chunk-refs=4096"),
             0);
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_same.txt"), 0);
+  const std::string mmap = output("analyze trace_cli_test.trc --procs=2");
+  ASSERT_NE(mmap.find("20,000 references"), std::string::npos) << mmap;
+  EXPECT_EQ(output("analyze trace_cli_same.trz --procs=2"), mmap);
+  EXPECT_EQ(output("analyze trace_cli_same.txt --procs=2"), mmap);
+  EXPECT_EQ(output("analyze trace_cli_test.trc --procs=2 --stream"), mmap);
 }
 
-TEST_F(TraceToolCliTest, SequentialEngineRejectsExplicitIngest) {
-  EXPECT_EQ(run("analyze trace_cli_test.trc --engine=lru --ingest=mmap"), 2);
-  // ... but tolerates the environment, like --transport.
-  EXPECT_EQ(run_env("PARDA_INGEST=mmap",
-                    "analyze trace_cli_test.trc --engine=lru"),
+TEST_F(TraceToolCliTest, MetricsShowTheSourceTheFilePicked) {
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_picked.trz "
+                "--chunk-refs=4096"),
             0);
+  ASSERT_EQ(run("analyze trace_cli_test.trc --procs=2 "
+                "--metrics-out=trace_cli_trc_metrics.json"),
+            0);
+  EXPECT_GT(counter_total("trace_cli_trc_metrics.json",
+                          "ingest.bytes_mapped"),
+            0u);
+  EXPECT_EQ(counter_total("trace_cli_trc_metrics.json",
+                          "ingest.chunks_assigned"),
+            0u);
+  ASSERT_EQ(run("analyze trace_cli_picked.trz --procs=2 "
+                "--metrics-out=trace_cli_trz_metrics.json"),
+            0);
+  EXPECT_GT(counter_total("trace_cli_trz_metrics.json",
+                          "ingest.chunks_assigned"),
+            0u);
 }
 
-TEST_F(TraceToolCliTest, IngestResolvesCliOverEnvOverDefault) {
-  // A valid env value selects the path with no flag at all...
-  EXPECT_EQ(run_env("PARDA_INGEST=mmap",
-                    "analyze trace_cli_test.trc --procs=2"),
-            0);
-  // ...the command line beats it...
-  EXPECT_EQ(run_env("PARDA_INGEST=trz",
-                    "analyze trace_cli_test.trc --procs=2 --ingest=mmap"),
-            0);
-  // ...and a malformed env value falls back to the default with a warning
-  // (the legacy in-memory path still works, unlike a bad --ingest).
-  EXPECT_EQ(run_env("PARDA_INGEST=carrier-pigeon",
-                    "analyze trace_cli_test.trc --procs=2"),
-            0);
+TEST_F(TraceToolCliTest, RetiredIngestFlagsAreUnknown) {
+  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=mmap"), 2);
+  EXPECT_EQ(run("convert trace_cli_test.trc x.trz --trz-version=1"), 2);
 }
 
-TEST_F(TraceToolCliTest, WrongContainerForIngestIsRuntimeError) {
-  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_test.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_test.trc --ingest=trz"), 1);
-  EXPECT_EQ(run("analyze trace_cli_test.trz --ingest=mmap"), 1);
+TEST_F(TraceToolCliTest, NeitherMagicIsRuntimeError) {
+  // A text trace under a binary name has no magic to pick a source by.
+  std::ofstream("trace_cli_text.trc") << "1\n2\n1\n";
+  EXPECT_EQ(run("analyze trace_cli_text.trc --procs=2"), 1);
 }
 
-// --- convert: .trz versions and chunking ------------------------------------
+// --- convert: .trz chunking ---------------------------------------------------
 
-TEST_F(TraceToolCliTest, ConvertWritesChunkedV2ByDefault) {
+TEST_F(TraceToolCliTest, ConvertWritesChunkedTrz) {
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_conv.trz"), 0);
-  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2 --ingest=trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2"), 0);
   ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_conv.trz "
                 "--chunk-refs=1024"),
             0);
-  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2 --ingest=trz"), 0);
-}
-
-TEST_F(TraceToolCliTest, V1ArchivesStillReadableButNotChunkIngestable) {
-  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_v1.trz "
-                "--trz-version=1"),
-            0);
-  // Legacy in-memory load decodes v1 fine; chunked ingest demands v2.
-  EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2"), 0);
-  EXPECT_EQ(run("analyze trace_cli_v1.trz --procs=2 --ingest=trz"), 1);
-  // The upgrade path named in that error actually works.
-  ASSERT_EQ(run("convert trace_cli_v1.trz trace_cli_v2.trz "
-                "--trz-version=2"),
-            0);
-  EXPECT_EQ(run("analyze trace_cli_v2.trz --procs=2 --ingest=trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_conv.trz --procs=2"), 0);
 }
 
 TEST_F(TraceToolCliTest, TrzFlagValidation) {
-  // .trz knobs on a non-.trz output.
+  // The chunk size on a non-.trz output; a degenerate chunk size.
   EXPECT_EQ(run("convert trace_cli_test.trc plain.trc --chunk-refs=64"), 2);
-  EXPECT_EQ(run("convert trace_cli_test.trc plain.trc --trz-version=2"), 2);
-  // Version out of range; chunking a v1 stream; degenerate chunk size.
-  EXPECT_EQ(run("convert trace_cli_test.trc x.trz --trz-version=3"), 2);
-  EXPECT_EQ(run("convert trace_cli_test.trc x.trz --trz-version=1 "
-                "--chunk-refs=64"),
-            2);
   EXPECT_EQ(run("convert trace_cli_test.trc x.trz --chunk-refs=0"), 2);
   // gen validates the same knobs.
   EXPECT_EQ(run("gen --refs=100 --out=x.trc --chunk-refs=64"), 2);
@@ -298,7 +299,7 @@ TEST_F(TraceToolCliTest, GenWritesChunkedTrzDirectly) {
   ASSERT_EQ(run("gen --workload=zipf:m=200,a=0.8 --refs=5000 "
                 "--out=trace_cli_gen.trz --chunk-refs=512"),
             0);
-  EXPECT_EQ(run("analyze trace_cli_gen.trz --procs=2 --ingest=trz"), 0);
+  EXPECT_EQ(run("analyze trace_cli_gen.trz --procs=2"), 0);
 }
 
 }  // namespace

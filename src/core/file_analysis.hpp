@@ -1,14 +1,10 @@
-// The file producer behind pipe ingest of on-disk traces. The ingest
-// modes (DESIGN.md "Ingest"), chosen by core::AnalysisSession::analyze_file:
-//
-//   kPipe — the historical path: a producer thread streams the file
-//           through a bounded TracePipe into the multi-phase online
-//           algorithm, so traces larger than memory are analyzed at
-//           O(pipe + rank state) footprint (the Figure 3 shape).
-//   kMmap — zero-copy offline: the file is mmap'd and ranks analyze
-//           disjoint views of the mapping with Algorithm 3.
-//   kTrz  — chunked-compressed offline: a v2 .trz archive's chunks are
-//           decoded per rank, in parallel, then analyzed offline.
+// The file producer behind pipe ingest of on-disk traces
+// (IngestMode::kPipe, DESIGN.md "Ingest"): a producer thread streams the
+// file through a bounded TracePipe into the multi-phase online algorithm,
+// so traces larger than memory are analyzed at O(pipe + rank state)
+// footprint (the Figure 3 shape). The offline alternative,
+// IngestMode::kOffline, needs no producer: open_offline_source
+// (trace/source.hpp) maps a .trc or decodes a .trz per rank.
 #pragma once
 
 #include <functional>

@@ -69,9 +69,8 @@ PardaResult AnalysisSession::analyze_source(TraceSource& source) {
 PardaResult AnalysisSession::analyze_file(const std::string& path,
                                           std::size_t pipe_words,
                                           IngestMode ingest) {
-  if (ingest != IngestMode::kPipe) {
-    const std::unique_ptr<TraceSource> source =
-        open_offline_source(path, ingest);
+  if (ingest == IngestMode::kOffline) {
+    const std::unique_ptr<TraceSource> source = open_offline_source(path);
     return analyze_source(*source);
   }
   return detail::run_with_file_producer(

@@ -42,11 +42,11 @@ class AnalysisSession {
   /// offline sources run Algorithm 3 over their rank views; streaming
   /// sources (PipeTraceSource) run the multi-phase pipe algorithm.
   PardaResult analyze_source(TraceSource& source);
-  /// Analysis of an on-disk trace through the chosen ingest path: kPipe
-  /// streams the file through a producer thread and a pipe of pipe_words
-  /// into the multi-phase algorithm; kMmap (binary .trc/.bin) and kTrz
-  /// (chunked v2 .trz) open an offline source. pipe_words only applies to
-  /// kPipe.
+  /// Analysis of an on-disk trace: kPipe streams the binary file through a
+  /// producer thread and a pipe of pipe_words into the multi-phase
+  /// algorithm; kOffline opens the offline source the file's magic names
+  /// (open_offline_source: mmap for a .trc, trz for a .trz). pipe_words
+  /// only applies to kPipe.
   PardaResult analyze_file(const std::string& path,
                            std::size_t pipe_words = 1 << 20,
                            IngestMode ingest = IngestMode::kPipe);

@@ -23,12 +23,6 @@ void append_double(std::string& out, double v) {
 
 }  // namespace
 
-std::string histogram_to_json(const Histogram& hist) {
-  std::string out = hist.to_json();
-  out += '\n';
-  return out;
-}
-
 std::string histogram_to_csv(const Histogram& hist) {
   std::string out = "distance,count\n";
   const auto& counts = hist.counts();

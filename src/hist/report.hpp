@@ -14,17 +14,13 @@
 
 namespace parda {
 
-/// The "parda.histogram.v1" document plus a trailing newline, ready for
-/// write_text_file. Read back with Histogram::from_json.
-std::string histogram_to_json(const Histogram& hist);
-
 /// CSV with header "distance,count" (finite rows ascending) and a final
 /// "inf,<count>" row. Plotting-only: does not round-trip (use
-/// histogram_to_json for interchange).
+/// Histogram::to_json for interchange).
 std::string histogram_to_csv(const Histogram& hist);
 
 /// CSV with header "bucket_low,bucket_high,count" over log2 buckets.
-/// Plotting-only; lossy (use histogram_to_json for interchange).
+/// Plotting-only; lossy (use Histogram::to_json for interchange).
 std::string histogram_to_csv_log2(const Histogram& hist);
 
 /// CSV with header "cache_size,miss_ratio".

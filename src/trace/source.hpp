@@ -22,6 +22,9 @@
 //                         chunks, in parallel, into a per-rank arena that
 //                         is reused across analyses.
 //
+// A trace on disk picks its own offline source: open_offline_source reads
+// the file's 8-byte magic ("PARDATRC" -> mmap, "PARDATRZ" -> trz).
+//
 // Offline sources partition the trace once per job (partition(np), driver
 // thread), then every rank asks for its RankView from its own thread
 // (rank_view(rank)) — which is exactly where ChunkedTrzSource does its
@@ -40,10 +43,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,13 +56,10 @@
 
 namespace parda {
 
-/// The file-ingest path the parallel driver should use; resolves through
-/// the layered config rule (--ingest > $PARDA_INGEST > pipe).
-enum class IngestMode { kPipe, kMmap, kTrz };
-
-const char* ingest_mode_name(IngestMode mode) noexcept;
-/// Parses "pipe" | "mmap" | "trz"; nullopt for anything else.
-std::optional<IngestMode> parse_ingest_mode(std::string_view text) noexcept;
+/// How a trace on disk reaches the ranks: kPipe streams it through a
+/// producer thread and a bounded pipe into the multi-phase algorithm;
+/// kOffline opens the offline source its magic names (open_offline_source).
+enum class IngestMode { kPipe, kOffline };
 
 /// One rank's slice of the trace: the references plus the global logical
 /// time of refs[0] (rank bases must be cumulative across ranks so the
@@ -213,10 +211,10 @@ class ChunkedTrzSource final : public TraceSource {
   std::vector<std::vector<Addr>> arenas_;  // one per rank, reused
 };
 
-/// Opens the offline source for `mode` (kMmap or kTrz) over `path`.
-/// kPipe has no offline source (the producer owns the pipe's lifecycle);
-/// asking for it is a CheckError.
-std::unique_ptr<TraceSource> open_offline_source(const std::string& path,
-                                                 IngestMode mode);
+/// Opens the offline source the file's 8-byte magic names: a .trz archive
+/// ("PARDATRZ") gets a ChunkedTrzSource, anything else a MmapTraceSource,
+/// whose header checks reject a file that is not a binary trace with a
+/// TraceFormatError at byte offset 0.
+std::unique_ptr<TraceSource> open_offline_source(const std::string& path);
 
 }  // namespace parda

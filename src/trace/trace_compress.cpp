@@ -1,14 +1,11 @@
 #include "trace/trace_compress.hpp"
 
 #include <array>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-#include "obs/span_tracer.hpp"
 #include "util/check.hpp"
 
 namespace parda {
@@ -60,9 +57,9 @@ inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
 
 /// Decodes exactly `count` zigzag-varint deltas from `bytes`, appending
 /// the reconstructed addresses to `out`. `prev` seeds the delta chain
-/// (0 for a v1 stream, the chunk base for a v2 chunk — the base itself is
-/// appended by the caller). `abs_base` is the file offset of bytes[0],
-/// so every failure names the exact spot. Returns the bytes consumed.
+/// (the chunk base, which the caller appends itself). `abs_base` is the
+/// file offset of bytes[0], so every failure names the exact spot.
+/// Returns the bytes consumed.
 std::size_t decode_deltas(std::span<const std::uint8_t> bytes,
                           std::size_t count, Addr prev,
                           std::vector<Addr>& out, std::uint64_t abs_base,
@@ -118,46 +115,6 @@ std::uint32_t crc_of_chunk(Addr base, std::span<const std::uint8_t> payload) {
   return trz_crc32(payload, trz_crc32(base_le));
 }
 
-/// Decodes a whole mapped v1 archive (header already validated up to the
-/// version field).
-std::vector<Addr> read_whole_v1(const MappedFile& map,
-                                const std::string& path) {
-  if (map.size() < kTrzV1HeaderBytes) {
-    format_fail(path, map.size(), "trz shorter than the 32-byte v1 header");
-  }
-  const std::uint64_t count = load_u64(map.data() + 16);
-  const std::uint64_t payload_bytes = load_u64(map.data() + 24);
-  const std::uint64_t body = map.size() - kTrzV1HeaderBytes;
-  if (payload_bytes > body) {
-    format_fail(path, kTrzV1HeaderBytes,
-                "trz payload truncated: header declares " +
-                    std::to_string(payload_bytes) +
-                    " payload bytes but the file holds " +
-                    std::to_string(body));
-  }
-  if (payload_bytes < body) {
-    format_fail(path, kTrzV1HeaderBytes + payload_bytes,
-                "trailing bytes after the declared trz payload");
-  }
-  std::vector<Addr> trace;
-  trace.reserve(count);
-  const std::span<const std::uint8_t> payload(map.data() + kTrzV1HeaderBytes,
-                                              payload_bytes);
-  const std::size_t used =
-      decode_deltas(payload, count, 0, trace, kTrzV1HeaderBytes, path);
-  if (used != payload.size()) {
-    format_fail(path, kTrzV1HeaderBytes + used,
-                "count/payload mismatch: " + std::to_string(count) +
-                    " references decoded with " +
-                    std::to_string(payload.size() - used) +
-                    " payload bytes left over");
-  }
-  if (obs::enabled()) {
-    obs::registry().counter("trace.bytes_decompressed").add(payload_bytes);
-  }
-  return trace;
-}
-
 }  // namespace
 
 std::uint32_t trz_crc32(std::span<const std::uint8_t> bytes,
@@ -180,63 +137,6 @@ std::uint32_t trz_crc32(std::span<const std::uint8_t> bytes,
     crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
-}
-
-std::vector<std::uint8_t> compress_trace(std::span<const Addr> trace) {
-  std::vector<std::uint8_t> out;
-  out.reserve(trace.size() * 2);
-  Addr prev = 0;
-  for (Addr a : trace) {
-    put_varint(out, zigzag_encode(a - prev));
-    prev = a;
-  }
-  return out;
-}
-
-std::vector<Addr> decompress_trace(std::span<const std::uint8_t> bytes,
-                                   std::size_t expected_count) {
-  const std::int64_t t0 = obs::enabled() ? obs::tracer().now_ns() : -1;
-  static const std::string kMemory = "<memory>";
-  std::vector<Addr> trace;
-  trace.reserve(expected_count);
-  const std::size_t used =
-      decode_deltas(bytes, expected_count, 0, trace, 0, kMemory);
-  if (used != bytes.size()) {
-    format_fail(kMemory, used,
-                "count/payload mismatch: " + std::to_string(expected_count) +
-                    " references decoded with " +
-                    std::to_string(bytes.size() - used) +
-                    " payload bytes left over");
-  }
-  if (t0 >= 0) {
-    auto& reg = obs::registry();
-    reg.counter("trace.bytes_decompressed").add(bytes.size());
-    reg.timer("trace.decompress").record_ns(
-        static_cast<std::uint64_t>(obs::tracer().now_ns() - t0));
-  }
-  return trace;
-}
-
-void write_trace_compressed(const std::string& path,
-                            std::span<const Addr> trace) {
-  const std::vector<std::uint8_t> payload = compress_trace(trace);
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) io_fail("cannot open trace for writing", path);
-  const std::uint64_t version = 1;
-  const std::uint64_t count = trace.size();
-  const std::uint64_t bytes = payload.size();
-  if (std::fwrite(kCompressedTraceMagic, 1, sizeof(kCompressedTraceMagic),
-                  f.get()) != sizeof(kCompressedTraceMagic) ||
-      std::fwrite(&version, sizeof(version), 1, f.get()) != 1 ||
-      std::fwrite(&count, sizeof(count), 1, f.get()) != 1 ||
-      std::fwrite(&bytes, sizeof(bytes), 1, f.get()) != 1) {
-    io_fail("short write on compressed trace header", path);
-  }
-  if (!payload.empty() &&
-      std::fwrite(payload.data(), 1, payload.size(), f.get()) !=
-          payload.size()) {
-    io_fail("short write on compressed trace payload", path);
-  }
 }
 
 void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
@@ -294,25 +194,6 @@ void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
 }
 
 std::vector<Addr> read_trace_compressed(const std::string& path) {
-  MappedFile map(path);
-  if (map.size() < sizeof(kCompressedTraceMagic)) {
-    format_fail(path, 0, "trz shorter than the 8-byte magic");
-  }
-  if (std::memcmp(map.data(), kCompressedTraceMagic,
-                  sizeof(kCompressedTraceMagic)) != 0) {
-    format_fail(path, 0, "bad trz magic");
-  }
-  if (map.size() < 16) {
-    format_fail(path, 8, "trz shorter than its version field");
-  }
-  const std::uint64_t version = load_u64(map.data() + 8);
-  if (version == 1) return read_whole_v1(map, path);
-  if (version != 2) {
-    format_fail(path, 8,
-                "unsupported trz version " + std::to_string(version) +
-                    " (expected 1 or 2)");
-  }
-  // v2: decode every chunk in order through the validated index.
   ChunkedTrzFile file(path);
   std::vector<Addr> trace;
   trace.reserve(file.total_references());
@@ -335,16 +216,10 @@ ChunkedTrzFile::ChunkedTrzFile(const std::string& path)
     format_fail(path_, 8, "trz shorter than its version field");
   }
   const std::uint64_t version = load_u64(map_.data() + 8);
-  if (version == 1) {
-    format_fail(path_, 8,
-                "chunked ingest needs a v2 .trz archive (this file is the "
-                "whole-file v1 layout; upgrade it with `trace_tool convert "
-                "in.trz out.trz --trz-version=2`)");
-  }
   if (version != 2) {
     format_fail(path_, 8,
                 "unsupported trz version " + std::to_string(version) +
-                    " (expected 1 or 2)");
+                    " (expected 2)");
   }
   if (map_.size() < kTrzV2HeaderBytes) {
     format_fail(path_, map_.size(),
@@ -356,8 +231,9 @@ ChunkedTrzFile::ChunkedTrzFile(const std::string& path)
   if (chunk_refs_ == 0 && total_ != 0) {
     format_fail(path_, 24, "zero refs-per-chunk with a nonzero trace");
   }
+  // The ceiling without the wrapping total + chunk_refs - 1.
   const std::uint64_t expected_chunks =
-      total_ == 0 ? 0 : (total_ + chunk_refs_ - 1) / chunk_refs_;
+      total_ == 0 ? 0 : total_ / chunk_refs_ + (total_ % chunk_refs_ != 0);
   if (num_chunks != expected_chunks) {
     format_fail(path_, 32,
                 "chunk count mismatch: header declares " +

@@ -1,24 +1,19 @@
-// Delta + varint compressed trace formats (.trz).
+// Delta + varint compressed trace format (.trz).
 //
 // Address traces are massive (the paper's run to 100 billion references),
 // and consecutive addresses are strongly correlated, so the offline format
 // stores zigzag-encoded deltas in LEB128 varints: sequential sweeps cost
 // ~1 byte per reference instead of 8.
 //
-// Two on-disk layouts share the "PARDATRZ" magic:
-//
-//   v1 (legacy, whole-file): magic, u64 version=1, u64 reference count,
-//   u64 payload bytes, then one delta stream for the entire trace. Must be
-//   decoded serially from the front.
-//
-//   v2 (chunked, the fast path): magic, u64 version=2, u64 reference
-//   count, u64 refs-per-chunk, u64 chunk count, then a seekable index of
-//   one 24-byte entry per chunk {u64 base address, u64 payload bytes,
-//   u64 crc32}, then the chunk payloads concatenated in order. Each chunk
-//   is a self-contained delta stream seeded by its base address (the first
-//   reference of the chunk), so disjoint chunk ranges decode independently
-//   and in parallel — ChunkedTrzSource assigns contiguous chunk runs to
-//   ranks and each rank decodes its own into a reused arena.
+// Layout (version 2, chunked): magic "PARDATRZ", u64 version=2, u64
+// reference count, u64 refs-per-chunk, u64 chunk count, then a seekable
+// index of one 24-byte entry per chunk {u64 base address, u64 payload
+// bytes, u64 crc32}, then the chunk payloads concatenated in order. Each
+// chunk is a self-contained delta stream seeded by its base address (the
+// first reference of the chunk), so disjoint chunk ranges decode
+// independently and in parallel — ChunkedTrzSource assigns contiguous
+// chunk runs to ranks and each rank decodes its own into a reused arena.
+// Any other version is rejected.
 //
 // Every malformed input is a typed parda::TraceFormatError naming the file
 // and the byte offset (matching BinaryTraceReader), never a crash or a
@@ -38,8 +33,6 @@ namespace parda {
 
 inline constexpr char kCompressedTraceMagic[8] = {'P', 'A', 'R', 'D',
                                                   'A', 'T', 'R', 'Z'};
-/// v1 header: magic + version + count + payload bytes.
-inline constexpr std::uint64_t kTrzV1HeaderBytes = 32;
 /// v2 header: magic + version + count + refs-per-chunk + chunk count.
 inline constexpr std::uint64_t kTrzV2HeaderBytes = 40;
 /// v2 index entry: base address + payload bytes + crc32 (in a u64 slot).
@@ -48,32 +41,21 @@ inline constexpr std::uint64_t kTrzIndexEntryBytes = 24;
 /// rank-sized unit of decode work (64–512KB of payload).
 inline constexpr std::uint64_t kDefaultTrzChunkRefs = std::uint64_t{1} << 16;
 
-/// In-memory codec (exposed for tests and for pipe-level compression).
-/// decompress_trace throws TraceFormatError on truncated input, varint
-/// overrun, or payload bytes left over after the declared count.
-std::vector<std::uint8_t> compress_trace(std::span<const Addr> trace);
-std::vector<Addr> decompress_trace(std::span<const std::uint8_t> bytes,
-                                   std::size_t expected_count);
-
 /// CRC-32 (IEEE, reflected) over `bytes`, continuing from `seed` (pass the
 /// previous return value to checksum discontiguous pieces). Exposed so
 /// tests can craft corrupt-but-recomputed chunk indexes.
 std::uint32_t trz_crc32(std::span<const std::uint8_t> bytes,
                         std::uint32_t seed = 0) noexcept;
 
-/// Writes the legacy v1 whole-file layout.
-void write_trace_compressed(const std::string& path,
-                            std::span<const Addr> trace);
-
-/// Writes the chunked v2 layout with fixed `chunk_refs` references per
+/// Writes the chunked layout with fixed `chunk_refs` references per
 /// chunk (the last chunk may be short). chunk_refs must be positive.
 void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
                          std::uint64_t chunk_refs = kDefaultTrzChunkRefs);
 
-/// Reads either layout (dispatching on the header version) into memory.
+/// Reads a whole archive into memory, decoding its chunks in order.
 std::vector<Addr> read_trace_compressed(const std::string& path);
 
-/// One chunk of a v2 archive, as described by the index.
+/// One chunk of an archive, as described by the index.
 struct TrzChunk {
   Addr base = 0;                  // first reference of the chunk
   std::uint64_t refs = 0;         // references in this chunk
@@ -82,12 +64,11 @@ struct TrzChunk {
   std::uint32_t crc = 0;          // crc32 over base (LE bytes) + payload
 };
 
-/// A memory-mapped chunked (v2) .trz archive: the constructor maps the
-/// file and validates the header and the whole chunk index (entry sizes,
-/// payload extents vs the file size, per-chunk reference counts vs the
-/// declared total) up front, so decode_chunk can seek anywhere without
-/// re-checking structure. A v1 file is rejected with a TraceFormatError
-/// naming `trace_tool convert` as the upgrade path.
+/// A memory-mapped .trz archive: the constructor maps the file and
+/// validates the header and the whole chunk index (entry sizes, payload
+/// extents vs the file size, per-chunk reference counts vs the declared
+/// total) up front, so decode_chunk can seek anywhere without re-checking
+/// structure.
 class ChunkedTrzFile {
  public:
   explicit ChunkedTrzFile(const std::string& path);

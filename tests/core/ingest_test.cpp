@@ -1,11 +1,12 @@
 // The ingest contract (DESIGN.md "Ingest"): every ingest path — pipe
 // producer, zero-copy mmap views, chunked parallel .trz decode — must
 // produce the bit-identical parda.histogram.v1 for the same trace, at
-// every rank count and cache bound. Plus the structural guarantees the
-// paths advertise: mmap rank views alias the mapping (zero copies, proven
-// by ingest.bytes_copied staying 0), trz chunk runs tile the archive, and
-// views stay in-bounds for their source's lifetime (ASan patrols the
-// mmap edges when this suite runs under the asan preset).
+// every rank count and cache bound. Offline, the file's magic picks the
+// source; the ingest.* counters prove which one ran. Plus the structural
+// guarantees the paths advertise: mmap rank views alias the mapping (zero
+// copies, proven by ingest.bytes_copied staying 0), trz chunk runs tile
+// the archive, and views stay in-bounds for their source's lifetime (ASan
+// patrols the mmap edges when this suite runs under the asan preset).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -74,11 +75,9 @@ class IngestTest : public ::testing::Test {
     return options;
   }
 
-  static PardaResult analyze(IngestMode mode, int np, std::uint64_t bound) {
-    const PardaOptions options = options_for(np, bound);
-    const std::string& path =
-        mode == IngestMode::kTrz ? *trz_path_ : *trc_path_;
-    return run_parda_file(path, options, 1 << 12, mode);
+  static PardaResult analyze(const std::string& path, IngestMode mode,
+                             int np, std::uint64_t bound) {
+    return run_parda_file(path, options_for(np, bound), 1 << 12, mode);
   }
 
   static std::vector<Addr>* trace_;
@@ -96,9 +95,10 @@ class IngestEquivalenceTest
 
 TEST_P(IngestEquivalenceTest, AllSourcesBitIdentical) {
   const auto [np, bound] = GetParam();
-  const PardaResult pipe = analyze(IngestMode::kPipe, np, bound);
-  const PardaResult mmap = analyze(IngestMode::kMmap, np, bound);
-  const PardaResult trz = analyze(IngestMode::kTrz, np, bound);
+  const PardaResult pipe = analyze(*trc_path_, IngestMode::kPipe, np, bound);
+  const PardaResult mmap =
+      analyze(*trc_path_, IngestMode::kOffline, np, bound);
+  const PardaResult trz = analyze(*trz_path_, IngestMode::kOffline, np, bound);
   const PardaResult span = run_parda(*trace_, options_for(np, bound));
 
   const Histogram expected = bound == 0 ? olken_analysis(*trace_)
@@ -235,9 +235,9 @@ TEST_F(IngestTest, SessionAnalyzeSourceAndFileAgree) {
   MmapTraceSource source(*trc_path_);
   const PardaResult via_source = session.analyze_source(source);
   const PardaResult via_file =
-      session.analyze_file(*trc_path_, 1 << 12, IngestMode::kMmap);
+      session.analyze_file(*trc_path_, 1 << 12, IngestMode::kOffline);
   const PardaResult via_trz =
-      session.analyze_file(*trz_path_, 1 << 12, IngestMode::kTrz);
+      session.analyze_file(*trz_path_, 1 << 12, IngestMode::kOffline);
   EXPECT_TRUE(via_source.hist == via_file.hist);
   EXPECT_TRUE(via_source.hist == via_trz.hist);
 }
@@ -246,25 +246,55 @@ TEST_F(IngestTest, ZeroCopyProofInMetrics) {
   obs::set_enabled(true);
   auto& reg = obs::registry();
 
+  // The .trc offline is the mmap source: it maps the whole body, copies
+  // nothing and assigns no chunks.
   reg.reset_values();
-  analyze(IngestMode::kMmap, 4, 0);
+  analyze(*trc_path_, IngestMode::kOffline, 4, 0);
   EXPECT_EQ(reg.counter_total("ingest.bytes_copied"), 0u);
   EXPECT_GE(reg.counter_total("ingest.bytes_mapped"),
             trace_->size() * sizeof(Addr));
+  EXPECT_EQ(reg.counter_total("ingest.chunks_assigned"), 0u);
 
+  // The .trz offline is the trz source: its 12 chunks go to the ranks.
   reg.reset_values();
-  analyze(IngestMode::kTrz, 4, 0);
+  analyze(*trz_path_, IngestMode::kOffline, 4, 0);
   EXPECT_EQ(reg.counter_total("ingest.bytes_copied"), 0u);
   EXPECT_EQ(reg.counter_total("ingest.chunks_assigned"), 12u);
   EXPECT_GT(reg.counter_total("ingest.bytes_decoded"), 0u);
 
   reg.reset_values();
-  analyze(IngestMode::kPipe, 4, 0);
+  analyze(*trc_path_, IngestMode::kPipe, 4, 0);
   EXPECT_EQ(reg.counter_total("ingest.bytes_copied"),
             trace_->size() * sizeof(Addr));
+  EXPECT_EQ(reg.counter_total("ingest.bytes_mapped"), 0u);
 
   reg.reset_values();
   obs::set_enabled(false);
+}
+
+TEST_F(IngestTest, OfflineSourceFollowsTheMagic) {
+  EXPECT_STREQ(open_offline_source(*trc_path_)->name(), "mmap");
+  EXPECT_STREQ(open_offline_source(*trz_path_)->name(), "trz");
+  // The extension plays no part: a .trz archive under a .trc name is
+  // still decoded as one.
+  const std::string renamed = temp_path("ingest_really_trz.trc");
+  write_trace_chunked(renamed, *trace_, 512);
+  EXPECT_STREQ(open_offline_source(renamed)->name(), "trz");
+  std::remove(renamed.c_str());
+  // Neither magic: the binary reader's typed error at offset 0.
+  const std::string text = temp_path("ingest_text.trc");
+  write_trace_text(text, *trace_);
+  try {
+    open_offline_source(text);
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte offset 0:"),
+              std::string::npos)
+        << "actual: " << e.what();
+  }
+  std::remove(text.c_str());
+  EXPECT_THROW(open_offline_source(temp_path("nope.trc")),
+               std::runtime_error);
 }
 
 TEST_F(IngestTest, OfflineSourceRejectsStreamingInterface) {

@@ -147,61 +147,6 @@ TEST(TraceIoTest, RejectsGarbageFile) {
   std::remove(path.c_str());
 }
 
-TEST(TraceCompressTest, RoundTripRandom) {
-  Xoshiro256 rng(9);
-  std::vector<Addr> trace(20000);
-  for (Addr& a : trace) a = rng();
-  const auto bytes = compress_trace(trace);
-  EXPECT_EQ(decompress_trace(bytes, trace.size()), trace);
-}
-
-TEST(TraceCompressTest, RoundTripEmpty) {
-  EXPECT_TRUE(decompress_trace(compress_trace({}), 0).empty());
-}
-
-TEST(TraceCompressTest, SequentialTraceCompressesToOneBytePerRef) {
-  std::vector<Addr> trace(10000);
-  for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = 4096 + i;
-  const auto bytes = compress_trace(trace);
-  // delta = +1 everywhere after the first: 1 varint byte each.
-  EXPECT_LE(bytes.size(), trace.size() + 8);
-  EXPECT_EQ(decompress_trace(bytes, trace.size()), trace);
-}
-
-TEST(TraceCompressTest, ExtremeValues) {
-  const std::vector<Addr> trace{0, ~0ULL, 0, 1ULL << 63, 42};
-  const auto bytes = compress_trace(trace);
-  EXPECT_EQ(decompress_trace(bytes, trace.size()), trace);
-}
-
-TEST(TraceCompressTest, TruncatedPayloadThrows) {
-  const std::vector<Addr> trace{1, 2, 3, 1000000};
-  auto bytes = compress_trace(trace);
-  bytes.pop_back();
-  EXPECT_THROW(decompress_trace(bytes, trace.size()), std::runtime_error);
-}
-
-TEST(TraceCompressTest, FileRoundTrip) {
-  Xoshiro256 rng(11);
-  std::vector<Addr> trace(5000);
-  Addr walk = 1 << 20;
-  for (Addr& a : trace) {
-    walk += rng.below(64);
-    a = walk;
-  }
-  const std::string path = temp_path("roundtrip.trz");
-  write_trace_compressed(path, trace);
-  EXPECT_EQ(read_trace_compressed(path), trace);
-  // Ascending small deltas: far below 8 bytes per reference.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  EXPECT_LT(size, static_cast<long>(trace.size() * 3));
-  std::remove(path.c_str());
-}
-
 TEST(TraceCompressTest, RejectsWrongMagic) {
   const std::string path = temp_path("wrong_magic.trz");
   write_trace_binary(path, std::vector<Addr>{1, 2, 3});  // .trc layout

@@ -1,6 +1,6 @@
 // The .trz corruption and truncation matrix: every structural invariant of
-// the chunked v2 layout (and the hardened v1 reader) must fail as a typed
-// TraceFormatError naming the byte offset — never a crash, a hang, or a
+// the chunked layout must fail as a typed TraceFormatError naming the byte
+// offset — never a crash, a hang, or a
 // silently short trace. Tests mutate real archives byte-by-byte, fixing up
 // CRCs with the exposed trz_crc32 when the corruption is supposed to get
 // past the checksum and hit a deeper check.
@@ -159,6 +159,57 @@ TEST(TrzChunkedTest, ChunksDecodeIndependently) {
   std::remove(a.path.c_str());
 }
 
+TEST(TrzChunkedTest, RoundTripRandomAddresses) {
+  // Uniform 64-bit addresses: most deltas need 9-10 varint bytes.
+  Xoshiro256 rng(9);
+  std::vector<Addr> trace(20000);
+  for (Addr& a : trace) a = rng();
+  const std::string path = temp_path("rt_random.trz");
+  write_trace_chunked(path, trace, 4096);
+  EXPECT_EQ(read_trace_compressed(path), trace);
+  std::remove(path.c_str());
+}
+
+TEST(TrzChunkedTest, SequentialTraceTakesOneBytePerRef) {
+  std::vector<Addr> trace(10000);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = 4096 + i;
+  const Archive a = make_v2("sequential.trz", trace, 1000);
+  EXPECT_EQ(read_trace_compressed(a.path), trace);
+  // delta = +1 after each chunk base: one varint byte per reference, plus
+  // the header and one 24-byte index entry per chunk.
+  EXPECT_EQ(a.bytes.size(),
+            kTrzV2HeaderBytes + 10 * kTrzIndexEntryBytes + (10000 - 10));
+  std::remove(a.path.c_str());
+}
+
+TEST(TrzChunkedTest, SmallDeltasStayFarBelowEightBytesPerRef) {
+  const std::vector<Addr> trace = [] {
+    Xoshiro256 rng(11);
+    std::vector<Addr> t(5000);
+    Addr walk = 1 << 20;
+    for (Addr& a : t) {
+      walk += rng.below(64);
+      a = walk;
+    }
+    return t;
+  }();
+  const Archive a = make_v2("small_deltas.trz", trace, kDefaultTrzChunkRefs);
+  EXPECT_EQ(read_trace_compressed(a.path), trace);
+  EXPECT_LT(a.bytes.size(), trace.size() * 3);
+  std::remove(a.path.c_str());
+}
+
+TEST(TrzChunkedTest, Crc32KnownAnswer) {
+  // The IEEE check value: crc32("123456789") = 0xCBF43926. Pins the
+  // polynomial and reflection so archives stay portable across builds.
+  const char* s = "123456789";
+  EXPECT_EQ(trz_crc32({reinterpret_cast<const std::uint8_t*>(s), 9}),
+            0xCBF43926u);
+  // Seed-chaining splits anywhere: crc(a+b) == crc(b, seed=crc(a)).
+  const auto* p = reinterpret_cast<const std::uint8_t*>(s);
+  EXPECT_EQ(trz_crc32({p + 4, 5}, trz_crc32({p, 4})), 0xCBF43926u);
+}
+
 TEST(TrzChunkedTest, EmptyTraceIsHeaderOnly) {
   const Archive a = make_v2("empty.trz", {}, 1 << 10);
   EXPECT_EQ(a.bytes.size(), kTrzV2HeaderBytes);
@@ -209,7 +260,28 @@ TEST_F(TrzCorruptionTest, TruncatedVersionField) {
 TEST_F(TrzCorruptionTest, UnsupportedVersion) {
   auto bytes = arch_.bytes;
   put_u64(bytes, 8, 3);
-  expect_corrupt(bytes, "unsupported trz version 3");
+  expect_corrupt(bytes, "unsupported trz version 3 (expected 2)");
+}
+
+TEST_F(TrzCorruptionTest, RetiredVersionOneIsUnsupported) {
+  // Version 1 was a whole-file delta stream; no reader accepts it now.
+  auto bytes = arch_.bytes;
+  put_u64(bytes, 8, 1);
+  spit(arch_.path, bytes);
+  try {
+    read_trace_compressed(arch_.path);
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unsupported trz version 1 (expected 2) at byte offset 8:"),
+              std::string::npos)
+        << "actual: " << e.what();
+  }
+}
+
+TEST_F(TrzCorruptionTest, BinaryTraceIsBadMagicAtOffsetZero) {
+  write_trace_binary(arch_.path, trace_);  // the .trc layout
+  expect_format_error(arch_.path, "bad trz magic at byte offset 0:");
 }
 
 TEST_F(TrzCorruptionTest, TruncatedV2Header) {
@@ -228,6 +300,19 @@ TEST_F(TrzCorruptionTest, ChunkCountMismatch) {
   auto bytes = arch_.bytes;
   put_u64(bytes, 32, get_u64(bytes, 32) + 1);
   expect_corrupt(bytes, "chunk count mismatch");
+}
+
+TEST_F(TrzCorruptionTest, ChunkCountCeilingDoesNotWrap) {
+  // 2^64-1 references at 2 refs/chunk need 2^63 chunks. A ceiling computed
+  // as (total + chunk_refs - 1) / chunk_refs wraps to 0, which would match
+  // a header declaring 0 chunks and an empty index: a 40-byte file that
+  // claims the largest possible trace.
+  std::vector<std::uint8_t> bytes(arch_.bytes.begin(),
+                                  arch_.bytes.begin() + kTrzV2HeaderBytes);
+  put_u64(bytes, 16, ~std::uint64_t{0});
+  put_u64(bytes, 24, 2);
+  put_u64(bytes, 32, 0);
+  expect_corrupt(bytes, "need 9223372036854775808 at byte offset 32:");
 }
 
 TEST_F(TrzCorruptionTest, IndexTruncated) {
@@ -311,6 +396,20 @@ TEST_F(TrzCorruptionTest, ResealedTruncatedPayloadExhausts) {
   expect_corrupt(bytes, "truncated payload");
 }
 
+TEST_F(TrzCorruptionTest, DeclaredCountAboveThePayloadExhausts) {
+  // 251 references still need 3 chunks of 100; the CRC does not cover the
+  // header, so the last chunk's 49 deltas run out one reference early.
+  auto bytes = arch_.bytes;
+  put_u64(bytes, 16, trace_.size() + 1);
+  expect_corrupt(bytes, "payload exhausted");
+}
+
+TEST_F(TrzCorruptionTest, DeclaredCountBelowThePayloadLeavesBytesOver) {
+  auto bytes = arch_.bytes;
+  put_u64(bytes, 16, trace_.size() - 1);
+  expect_corrupt(bytes, "payload bytes left over");
+}
+
 TEST_F(TrzCorruptionTest, ResealedVarintOverrun) {
   // A delta whose continuation bits never clear within 10 bytes: passes
   // the envelope and the CRC (re-sealed), dies as a typed overrun.
@@ -326,99 +425,6 @@ TEST_F(TrzCorruptionTest, ResealedVarintOverrun) {
   spit(small.path, bytes);
   expect_format_error(small.path, "varint overrun");
   std::remove(small.path.c_str());
-}
-
-TEST_F(TrzCorruptionTest, V1ArchiveRejectedByChunkedReaderWithUpgradeHint) {
-  const std::string v1 = temp_path("still_v1.trz");
-  write_trace_compressed(v1, trace_);
-  EXPECT_EQ(read_trace_compressed(v1), trace_);  // plain reader: fine
-  try {
-    ChunkedTrzFile file(v1);
-    FAIL() << "expected TraceFormatError";
-  } catch (const TraceFormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("trace_tool convert"),
-              std::string::npos)
-        << "actual: " << e.what();
-  }
-  std::remove(v1.c_str());
-}
-
-// --- v1 hardening -----------------------------------------------------------
-
-class TrzV1Test : public ::testing::Test {
- protected:
-  void SetUp() override {
-    trace_ = walk_trace(300, 6);
-    path_ = temp_path("v1.trz");
-    write_trace_compressed(path_, trace_);
-    bytes_ = slurp(path_);
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-
-  std::vector<Addr> trace_;
-  std::string path_;
-  std::vector<std::uint8_t> bytes_;
-};
-
-TEST_F(TrzV1Test, TruncatedV1Header) {
-  auto bytes = bytes_;
-  bytes.resize(kTrzV1HeaderBytes - 1);
-  spit(path_, bytes);
-  expect_format_error(path_, "shorter than the 32-byte v1 header");
-}
-
-TEST_F(TrzV1Test, PayloadShorterThanDeclared) {
-  auto bytes = bytes_;
-  bytes.resize(bytes.size() - 3);
-  spit(path_, bytes);
-  expect_format_error(path_, "trz payload truncated");
-}
-
-TEST_F(TrzV1Test, TrailingBytesAfterPayload) {
-  auto bytes = bytes_;
-  bytes.push_back(0);
-  spit(path_, bytes);
-  expect_format_error(path_, "trailing bytes after the declared trz payload");
-}
-
-TEST_F(TrzV1Test, CountLargerThanPayloadDecodes) {
-  auto bytes = bytes_;
-  put_u64(bytes, 16, trace_.size() + 1);
-  spit(path_, bytes);
-  expect_format_error(path_, "payload exhausted");
-}
-
-TEST_F(TrzV1Test, CountSmallerThanPayloadLeavesBytesOver) {
-  auto bytes = bytes_;
-  put_u64(bytes, 16, trace_.size() - 1);
-  spit(path_, bytes);
-  expect_format_error(path_, "payload bytes left over");
-}
-
-TEST_F(TrzV1Test, InMemoryDecompressorThrowsTypedErrors) {
-  const auto payload = compress_trace(trace_);
-  // Truncation and count mismatch surface as the same typed errors even
-  // without a file behind the bytes.
-  EXPECT_THROW(decompress_trace({payload.data(), payload.size() - 1},
-                                trace_.size()),
-               TraceFormatError);
-  EXPECT_THROW(decompress_trace(payload, trace_.size() + 1),
-               TraceFormatError);
-  EXPECT_THROW(decompress_trace(payload, trace_.size() - 1),
-               TraceFormatError);
-  const std::vector<std::uint8_t> overrun(10, 0x80);
-  EXPECT_THROW(decompress_trace(overrun, 1), TraceFormatError);
-}
-
-TEST_F(TrzV1Test, Crc32KnownAnswer) {
-  // The IEEE check value: crc32("123456789") = 0xCBF43926. Pins the
-  // polynomial and reflection so archives stay portable across builds.
-  const char* s = "123456789";
-  EXPECT_EQ(trz_crc32({reinterpret_cast<const std::uint8_t*>(s), 9}),
-            0xCBF43926u);
-  // Seed-chaining splits anywhere: crc(a+b) == crc(b, seed=crc(a)).
-  const auto* p = reinterpret_cast<const std::uint8_t*>(s);
-  EXPECT_EQ(trz_crc32({p + 4, 5}, trz_crc32({p, 4})), 0xCBF43926u);
 }
 
 }  // namespace
