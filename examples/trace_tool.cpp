@@ -70,9 +70,11 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// Reads a whole trace for the sequential engines and convert. A .txt is
+/// text; any other file is read by its magic, as open_offline_source does.
 std::vector<parda::Addr> load(const std::string& path) {
   if (ends_with(path, ".txt")) return parda::read_trace_text(path);
-  if (ends_with(path, ".trz")) return parda::read_trace_compressed(path);
+  if (parda::has_trz_magic(path)) return parda::read_trace_compressed(path);
   return parda::read_trace_binary(path);
 }
 

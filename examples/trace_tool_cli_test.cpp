@@ -276,6 +276,24 @@ TEST_F(TraceToolCliTest, NeitherMagicIsRuntimeError) {
   EXPECT_EQ(run("analyze trace_cli_text.trc --procs=2"), 1);
 }
 
+TEST_F(TraceToolCliTest, RenamedTrzReadsByItsMagicInEveryCommand) {
+  // A .trz archive under a .trc name: the sequential engines and convert
+  // read it by its magic, as the parda path does.
+  ASSERT_EQ(run("convert trace_cli_test.trc trace_cli_renamed.trz "
+                "--chunk-refs=4096"),
+            0);
+  ASSERT_EQ(std::rename("trace_cli_renamed.trz", "trace_cli_renamed.trc"), 0);
+  const std::string expected = output("analyze trace_cli_test.trc");
+  ASSERT_NE(expected.find("20,000 references"), std::string::npos)
+      << expected;
+  EXPECT_EQ(output("analyze trace_cli_renamed.trc --engine=fenwick"),
+            expected);
+  EXPECT_EQ(output("analyze trace_cli_renamed.trc"), expected);
+  ASSERT_EQ(run("convert trace_cli_renamed.trc trace_cli_unpacked.trc"), 0);
+  EXPECT_EQ(output("analyze trace_cli_unpacked.trc --engine=fenwick"),
+            expected);
+}
+
 // --- convert: .trz chunking ---------------------------------------------------
 
 TEST_F(TraceToolCliTest, ConvertWritesChunkedTrz) {

@@ -29,6 +29,7 @@ enum MsgTag : int {
   kTagChunk = 4,       // trace chunk scatter from the pipe reader
   kTagControl = 5,     // per-phase reference counts
   kTagProfile = 6,     // per-rank profile gathering
+  kTagSaturatedState = 7,  // a kTagState export from a saturated rank
 };
 
 }  // namespace parda

@@ -10,17 +10,21 @@
 //    pipe -> rank 0 -> scatter -> ranks -> merge -> reduce.
 // Every phase runs the space-optimized merge of Algorithm 4 (or the plain
 // Algorithm 3 merge offline, on request) under the cache bound of
-// Algorithm 7; a phase that another can follow ends with Algorithm 6,
-// which reduces the state onto rank 0 by appending the other ranks' newer
-// exports.
+// Algorithm 7, whose budget lets a rank emit at most B local infinities
+// per phase; a phase that another can follow ends with Algorithm 6, which
+// reduces the state onto rank 0 by appending the other ranks' newer
+// exports (only those from the newest saturated rank on, once a rank
+// spent its budget).
 //
 // The result is the histogram plus per-rank work statistics (used for
 // critical-path scaling reports). core::AnalysisSession wraps the driver
 // for callers that hold a long-lived runtime or analyze files.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "comm/comm.hpp"
 #include "comm/worker_pool.hpp"
@@ -169,10 +173,12 @@ PhaseChunk take_phase_chunk(comm::Comm& comm, TraceSource& source,
 /// The per-rank body (one call per rank inside a comm job): Algorithm 5's
 /// phase loop, of which offline analysis (Algorithm 3) is the one-phase
 /// case. Each phase takes its chunk, processes it (Algorithm 7's modified
-/// stack_dist), runs the merge rounds (Algorithm 3's loop, with
-/// Algorithm 4), and, only when another phase can follow, reduces the
-/// state onto rank 0 (Algorithm 6). The histograms and profiles are then
-/// reduced onto rank 0 under "final-reduce".
+/// stack_dist, at most B records forwarded per chunk when bounded), runs
+/// the merge rounds (Algorithm 3's loop, with Algorithm 4), and, only when
+/// another phase can follow, reduces the state onto rank 0 (Algorithm 6,
+/// from the newest saturated rank on when a rank saturated). The
+/// histograms and profiles are then reduced onto rank 0 under
+/// "final-reduce".
 template <OrderStatTree Tree>
 void rank_body(comm::Comm& comm, TraceSource& source,
                const PardaOptions& options, Histogram& result,
@@ -210,15 +216,31 @@ void rank_body(comm::Comm& comm, TraceSource& source,
     if (chunk.last) break;
 
     // State reduction onto rank 0 (Algorithm 6): each other rank's
-    // exported state moves into the message, and rank 0 appends the views
-    // in rank order, which is reference order. Rank 0's own state never
-    // moves, so a phase moves O(np*C) entries however large the state.
+    // exported state moves into the message, whose tag says whether the
+    // rank saturated (spent Algorithm 7's budget of B records). Unless one
+    // did, rank 0 appends the views in rank order, which is reference
+    // order; rank 0's own state never moves, so a phase moves O(np*C)
+    // entries however large the state. A saturated rank swallowed records
+    // and so left stale replicas to its left, but it and the ranks to its
+    // right hold the phase's B newest distinct addresses: rank 0 then drops
+    // its state and appends only the exports from the newest saturated rank
+    // on.
     obs::SpanScope span("reduce");
     if (me != 0) {
-      comm.send(0, kTagState, state.export_state());
+      comm.send(0, state.saturated() ? kTagSaturatedState : kTagState,
+                state.export_state());
     } else {
+      std::vector<comm::View<InfRecord>> exports(static_cast<std::size_t>(np));
+      int newest_saturated = 0;
       for (int r = 1; r < np; ++r) {
-        state.append_state(comm.recv_view<InfRecord>(r, kTagState).span());
+        int tag = kTagState;
+        exports[r] =
+            comm.recv_view<InfRecord>(r, comm::kAnyTag, nullptr, &tag);
+        if (tag == kTagSaturatedState) newest_saturated = r;
+      }
+      if (newest_saturated > 0) state.drop_state();
+      for (int r = std::max(newest_saturated, 1); r < np; ++r) {
+        state.append_state(exports[r].span());
       }
     }
   }
@@ -255,10 +277,13 @@ void rank_body(comm::Comm& comm, TraceSource& source,
 /// Streaming sources run Algorithms 5-6: rank 0 drains the pipe in phases
 /// of np*C references and scatters per-rank chunks; after each phase that
 /// another can follow, ranks 1..np-1 send their resident state to rank 0,
-/// which appends it after its own, so the global state never travels. The
-/// last (short) phase skips that reduction. This requires space
-/// optimization (the reduce step relies on the disjoint-residency property
-/// of Algorithm 4), and chunk_words * num_procs must fit in size_t.
+/// which appends it after its own, so the global state never travels. With
+/// a bound, a rank that emitted Algorithm 7's budget of B records saturated:
+/// rank 0 then drops its own state and appends only the exports of the
+/// newest saturated rank and those to its right. The last (short) phase
+/// skips that reduction. This requires space optimization (the reduce step
+/// relies on the disjoint-residency property of Algorithm 4), and
+/// chunk_words * num_procs must fit in size_t.
 ///
 /// The source must stay alive for the call (rank views alias its
 /// storage) and may be reused across calls; ChunkedTrzSource keeps its

@@ -25,9 +25,11 @@
 // local-infinity stream and the received-infinity offset equal those of
 // the per-reference loop.
 //
-// Bounded-mode semantics (one deliberate tightening over the paper, see
-// DESIGN.md): with bound B, the final histogram is exact for all d < B and
-// every reference with true distance >= B is an infinity. The paper's
+// Bounded-mode semantics (Algorithm 7, see DESIGN.md): with bound B, the
+// final histogram is exact for all d < B and every reference with true
+// distance >= B is an infinity. A rank's own chunk emits at most B local
+// infinities per phase and tallies every later miss as an infinity on the
+// spot, so a bounded phase forwards O(np*B) records. The paper's
 // Algorithm 4 would occasionally resolve an inter-chunk distance >= B
 // exactly; we clamp those to infinity so bounded-parallel equals
 // bounded-sequential bit-for-bit, which the property tests verify.
@@ -75,19 +77,16 @@ class RankState {
   /// trace position, carried only by the local-infinity record (Algorithm 3
   /// / Algorithm 7 main loop).
   ///
-  /// Bounded-mode note: the paper's Algorithm 7 emits at most B local
-  /// infinities per chunk and counts later misses as infinite on the spot.
-  /// That silently breaks Property 4.3 (the leftward record stream is no
-  /// longer complete), which in turn leaves stale replicas on left ranks
-  /// and undercounts the Algorithm 4 offset — observable as duplicated
-  /// addresses in the phase reduction and mis-resolved inter-chunk
-  /// distances. We instead emit a record for *every* miss (tree and hash
-  /// stay bounded at B via LRU eviction, so the O(N/P log B) time claim is
-  /// unaffected); a swallowed-in-the-paper record always carries a true
-  /// distance >= B, so downstream it either misses everywhere (counted as
-  /// an infinity at rank 0, correct) or resolves to a clamped distance
-  /// >= B (also an infinity, correct). This is what makes the bounded
-  /// parallel histogram equal the bounded sequential one bit for bit.
+  /// Bounded-mode note (Algorithm 7's budget): the chunk emits at most B
+  /// local infinities per phase (the count resets in begin_merge_stage);
+  /// each later miss is tallied as an infinity at once. A rank >= 1 starts
+  /// every phase empty, so after B records its chunk holds >= B distinct
+  /// addresses and every later miss has a true distance >= B. A record from
+  /// right of such a saturated rank reaches a rank further left only after
+  /// >= B received records, so the Algorithm 4 offset clamps it to an
+  /// infinity; a record with true distance < B never crosses a saturated
+  /// rank. The swallowed records leave stale replicas only left of a
+  /// saturated rank, which Algorithm 6 drops (see saturated()).
   void process_own(Addr z, Timestamp ts) {
     const Distance d = resolve_own(z, ts);
     if (d != kInfiniteDistance) hist_.record(d);
@@ -142,22 +141,21 @@ class RankState {
     out.reserve(tree_.size());
     tree_.for_each(
         [&](TreeEntry e) { out.push_back(InfRecord{e.addr, e.ts}); });
-    tree_.clear();
-    table_.clear();
-    next_tick_ = 0;
+    drop_state();
     return out;
   }
 
   /// Algorithm 6 at rank 0: appends another rank's export as the newest
-  /// entries. Called once per rank 1..np-1 in rank order after each phase,
-  /// this keeps the whole state in reference order: every export was last
-  /// referenced in its rank's chunk, later than anything rank 0 holds, and
-  /// each export is tick-ordered. With space optimization the address sets
-  /// are disjoint (paper Section IV-C), so no duplicate check is needed —
-  /// PARDA_DCHECK guards that claim in debug builds. With a bound, each
-  /// append first evicts the oldest entry once B are resident, so the B
-  /// newest survive — anything older has >= B distinct successors and can
-  /// never be hit again.
+  /// entries. Called once per rank 1..np-1 in rank order after each phase
+  /// (or, when some rank saturated, on a dropped state for the newest
+  /// saturated rank and those to its right), this keeps the whole state in
+  /// reference order: every export was last referenced in its rank's chunk,
+  /// later than anything rank 0 holds, and each export is tick-ordered.
+  /// With space optimization the address sets are disjoint (paper Section
+  /// IV-C), so no duplicate check is needed — PARDA_DCHECK guards that
+  /// claim in debug builds. With a bound, each append first evicts the
+  /// oldest entry once B are resident, so the B newest survive — anything
+  /// older has >= B distinct successors and can never be hit again.
   void append_state(std::span<const InfRecord> newer) {
     for (const InfRecord& rec : newer) {
       PARDA_DCHECK(!table_.contains(rec.addr));
@@ -169,8 +167,27 @@ class RankState {
     note_resident();
   }
 
-  /// Resets the per-merge-stage received counter (start of each phase).
-  void begin_merge_stage() { received_count_ = 0; }
+  /// Resets the per-phase counters: the Algorithm 4 received count and
+  /// Algorithm 7's record budget (start of each phase).
+  void begin_merge_stage() {
+    received_count_ = 0;
+    emitted_ = 0;
+  }
+
+  /// Bounded only: this phase's chunk used up its budget of B records. The
+  /// B newest distinct addresses of the phase are then held, with no stale
+  /// copies, by the newest saturated rank and the ranks to its right.
+  bool saturated() const noexcept {
+    return bound_ != kUnbounded && emitted_ >= bound_;
+  }
+
+  /// Empties the resident set (tree and hash), keeping the histogram and
+  /// counters: Algorithm 6 at rank 0 when some rank saturated.
+  void drop_state() {
+    tree_.clear();
+    table_.clear();
+    next_tick_ = 0;
+  }
 
   const Histogram& hist() const noexcept { return hist_; }
   Histogram& hist() noexcept { return hist_; }
@@ -224,8 +241,15 @@ class RankState {
         const TreeEntry victim = tree_.pop_oldest();
         table_.erase(victim.addr);
       }
-      // First reference in this rank's view: defer judgement, pass left.
-      loc_inf_.push_back(InfRecord{z, ts});
+      if (bound_ == kUnbounded || emitted_ < bound_) {
+        // First reference in this rank's view: defer judgement, pass left.
+        loc_inf_.push_back(InfRecord{z, ts});
+        ++emitted_;
+      } else {
+        // Algorithm 7's budget is spent: the chunk already holds >= B
+        // distinct addresses, so this miss's true distance is >= B.
+        hist_.record(kInfiniteDistance);
+      }
     }
     push_newest(z);
     note_resident();
@@ -296,6 +320,7 @@ class RankState {
   std::vector<InfRecord> loc_inf_;
   Timestamp next_tick_ = 0;  // local key of the next insert
   std::uint64_t received_count_ = 0;  // 'count' of Algorithm 4
+  std::uint64_t emitted_ = 0;  // own records emitted this phase (Alg. 7)
   std::uint64_t peak_resident_ = 0;
 };
 

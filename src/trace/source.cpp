@@ -177,15 +177,7 @@ std::pair<std::uint64_t, std::uint64_t> ChunkedTrzSource::assigned_chunks(
 }
 
 std::unique_ptr<TraceSource> open_offline_source(const std::string& path) {
-  char magic[sizeof(kCompressedTraceMagic)] = {};
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    const std::size_t got = std::fread(magic, 1, sizeof(magic), f);
-    std::fclose(f);
-    if (got == sizeof(magic) &&
-        std::memcmp(magic, kCompressedTraceMagic, sizeof(magic)) == 0) {
-      return std::make_unique<ChunkedTrzSource>(path);
-    }
-  }
+  if (has_trz_magic(path)) return std::make_unique<ChunkedTrzSource>(path);
   return std::make_unique<MmapTraceSource>(path);
 }
 

@@ -193,6 +193,16 @@ void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
   }
 }
 
+bool has_trz_magic(const std::string& path) {
+  char magic[sizeof(kCompressedTraceMagic)] = {};
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  const std::size_t got = std::fread(magic, 1, sizeof(magic), f);
+  std::fclose(f);
+  return got == sizeof(magic) &&
+         std::memcmp(magic, kCompressedTraceMagic, sizeof(magic)) == 0;
+}
+
 std::vector<Addr> read_trace_compressed(const std::string& path) {
   ChunkedTrzFile file(path);
   std::vector<Addr> trace;

@@ -55,6 +55,10 @@ void write_trace_chunked(const std::string& path, std::span<const Addr> trace,
 /// Reads a whole archive into memory, decoding its chunks in order.
 std::vector<Addr> read_trace_compressed(const std::string& path);
 
+/// True when the file at `path` starts with kCompressedTraceMagic; a file
+/// that cannot be opened or is shorter than the magic is not an archive.
+bool has_trz_magic(const std::string& path);
+
 /// One chunk of an archive, as described by the index.
 struct TrzChunk {
   Addr base = 0;                  // first reference of the chunk

@@ -305,6 +305,53 @@ TYPED_TEST(RankStateTreeTest, BoundedAppendTrimsToTheBNewest) {
   EXPECT_EQ(state.pending_infinities(), 1u);
 }
 
+TYPED_TEST(RankStateTreeTest, BoundedChunkEmitsAtMostBRecords) {
+  // Algorithm 7's budget: a bounded chunk with more than B distinct
+  // addresses emits exactly B local infinities and tallies every later miss
+  // as an infinity at once; an unbounded chunk emits every miss. The
+  // evict-then-insert path runs either way.
+  const std::vector<Addr> chunk{1, 2, 3, 1, 4, 5, 4};
+  RankState<TypeParam> bounded(/*bound=*/3, /*space_optimized=*/true);
+  RankState<TypeParam> unbounded;
+  bounded.begin_merge_stage();
+  for (std::size_t i = 0; i < chunk.size(); ++i) {
+    bounded.process_own(chunk[i], i);
+    unbounded.process_own(chunk[i], i);
+  }
+  // 1, 2, 3 spend the budget; 1 hits at 2; 4 and 5 miss (evicting 2 and
+  // 3) and count as infinities; 4 hits at 1 (5 intervenes).
+  EXPECT_EQ(bounded.local_infinities(),
+            (std::vector<InfRecord>{{1, 0}, {2, 1}, {3, 2}}));
+  EXPECT_EQ(bounded.hist().infinities(), 2u);
+  EXPECT_EQ(bounded.hist().at(2), 1u);
+  EXPECT_EQ(bounded.hist().at(1), 1u);
+  EXPECT_EQ(resident_addrs(bounded), (std::vector<Addr>{1, 5, 4}));
+  EXPECT_TRUE(bounded.saturated());
+
+  EXPECT_EQ(unbounded.local_infinities().size(), 5u);
+  EXPECT_EQ(unbounded.hist().infinities(), 0u);
+  EXPECT_FALSE(unbounded.saturated());
+
+  // The budget is per phase: the next merge stage may emit B again.
+  bounded.begin_merge_stage();
+  EXPECT_FALSE(bounded.saturated());
+  bounded.process_own(6, 7);
+  EXPECT_EQ(bounded.pending_infinities(), 4u);
+  EXPECT_EQ(bounded.hist().infinities(), 2u);
+}
+
+TYPED_TEST(RankStateTreeTest, DropStateKeepsTheHistogram) {
+  RankState<TypeParam> state(/*bound=*/4, /*space_optimized=*/true);
+  state.process_own(1, 0);
+  state.process_own(1, 1);
+  state.drop_state();
+  EXPECT_EQ(state.resident(), 0u);
+  EXPECT_EQ(state.table().size(), 0u);
+  EXPECT_EQ(state.hist().at(0), 1u);
+  state.append_state(std::vector<InfRecord>{{1, 0}});
+  EXPECT_EQ(resident_addrs(state), (std::vector<Addr>{1}));
+}
+
 TEST(RankStateTest, RenumberKeepsTicksDenseAndMapped) {
   // 300 distinct addresses hit 20000 times: the key window keeps filling
   // with dead slots, so it is renumbered many times instead of growing to

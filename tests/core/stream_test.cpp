@@ -3,9 +3,12 @@
 // every phase size, rank count, and cache bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "seq/olken.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_pipe.hpp"
+#include "util/prng.hpp"
 #include "workload/generators.hpp"
 
 #include "support/run_parda.hpp"
@@ -154,6 +158,93 @@ INSTANTIATE_TEST_SUITE_P(
       return "B" + std::to_string(std::get<0>(info.param)) + "_C" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// A streamed trace of `phases` phases of 4 chunks of `chunk` references:
+/// chunk r of each phase draws from footprints[r] addresses of a window
+/// that slides by 5 addresses per phase, so reuses cross ranks and phases.
+std::vector<Addr> footprint_trace(const std::array<Addr, 4>& footprints,
+                                  std::size_t chunk, std::size_t phases,
+                                  std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Addr> trace;
+  for (std::size_t phase = 0; phase < phases; ++phase) {
+    for (const Addr footprint : footprints) {
+      for (std::size_t i = 0; i < chunk; ++i) {
+        trace.push_back(5 * phase + rng.below(footprint));
+      }
+    }
+  }
+  return trace;
+}
+
+std::size_t distinct_in(std::span<const Addr> refs) {
+  std::vector<Addr> sorted(refs.begin(), refs.end());
+  std::sort(sorted.begin(), sorted.end());
+  return static_cast<std::size_t>(
+      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+}
+
+TEST(StreamBoundedBudgetTest, SaturatedRankInTheMiddle) {
+  // Algorithm 7's budget with a saturated rank 2 (its chunks hold more
+  // than B distinct addresses) and an unsaturated rank 3 to its right;
+  // rank 1 saturates in one shape and not in the other. The saturated
+  // ranks swallow records and leave stale replicas to their left, which
+  // Algorithm 6 must not carry into the next phase.
+  const int np = 4;
+  const std::size_t chunk = 64;
+  const std::uint64_t bound = 16;
+  const std::size_t phases = 12;
+  using Footprints = std::array<Addr, 4>;
+  for (const Footprints& footprints :
+       {Footprints{60, 60, 60, 8}, Footprints{60, 8, 60, 8}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto trace = footprint_trace(footprints, chunk, phases, seed);
+      for (std::size_t at = 0; at < trace.size(); at += np * chunk) {
+        const std::span<const Addr> phase(trace.data() + at, np * chunk);
+        ASSERT_GT(distinct_in(phase.subspan(2 * chunk, chunk)), bound);
+        ASSERT_LT(distinct_in(phase.subspan(3 * chunk, chunk)), bound);
+      }
+      PardaOptions options;
+      options.num_procs = np;
+      options.chunk_words = chunk;
+      options.bound = bound;
+      const PardaResult result = run_streamed(trace, options, 1024, 100);
+      EXPECT_TRUE(result.hist == bounded_analysis(trace, bound))
+          << "rank 1 footprint " << footprints[1] << " seed " << seed;
+    }
+  }
+}
+
+TEST(StreamBoundedBudgetTest, PhaseForwardsAtMostTheBudget) {
+  // Each rank's chunk emits at most B records per phase and rank p
+  // forwards only records that started at ranks p..np-1, so a bounded
+  // phase forwards at most np(np-1)/2 * B records, however many distinct
+  // addresses its chunks hold. Offline analysis is the one-phase case.
+  const int np = 4;
+  const std::size_t chunk = 256;
+  const std::uint64_t bound = 32;
+  ZipfWorkload w(40000, 0.5, 9);
+  const std::vector<Addr> trace = generate_trace(w, 30000);
+  PardaOptions options;
+  options.num_procs = np;
+  options.chunk_words = chunk;
+  options.bound = bound;
+  const std::uint64_t per_phase = np * (np - 1) / 2 * bound;
+  const auto forwarded = [](const PardaResult& r) {
+    std::uint64_t sum = 0;
+    for (const RankProfile& p : r.profiles) sum += p.records_forwarded;
+    return sum;
+  };
+
+  const PardaResult streamed = run_streamed(trace, options, 4096, 1000);
+  ASSERT_TRUE(streamed.hist == bounded_analysis(trace, bound));
+  ASSERT_EQ(streamed.profiles.size(), static_cast<std::size_t>(np));
+  EXPECT_LE(forwarded(streamed), streamed.profiles[0].phases * per_phase);
+
+  const PardaResult offline = test_support::run_parda(trace, options);
+  ASSERT_TRUE(offline.hist == bounded_analysis(trace, bound));
+  EXPECT_LE(forwarded(offline), per_phase);
+}
 
 TEST(FileAnalysisTest, StreamsTraceFileCorrectly) {
   const auto trace = stream_trace(6000, 33);
